@@ -21,70 +21,45 @@ from .band import (
     eval_upper,
     eval_upper_interpolated,
 )
-from .ccp import (
-    CcpConfig,
-    PointDiagnostics,
-    PointwiseIntervals,
-    pointwise_intervals,
-    run_ccp_point,
-)
+from .ccp import CcpConfig, PointDiagnostics, PointwiseIntervals, pointwise_intervals
 from .design import (
-    Block,
-    DesignGrid,
     DuplicateDesignPoint,
-    IntervalSystem,
     InvalidAlpha,
     TooFewSamples,
     build_interval_system,
     select_design_points,
 )
-from .simulate import (
-    StudyReport,
-    StudySpec,
-    format_table,
-    report_to_json,
-    run_study,
-    sample,
-    true_density,
-)
-from .specfun import BetaParams, exp_mean, exp_mean_deriv, qbeta, reg_inc_beta
+from .simulate import StudyReport, StudySpec, format_table, report_to_json, run_study
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaParams",
-    "Block",
-    "CcpConfig",
-    "ConfidenceBand",
-    "DesignGrid",
-    "DuplicateDesignPoint",
-    "IntervalSystem",
-    "InvalidAlpha",
-    "PointDiagnostics",
-    "PointwiseIntervals",
-    "StudyReport",
-    "StudySpec",
-    "TooFewKnots",
-    "TooFewSamples",
-    "band_from_json",
-    "band_to_json",
-    "build_band",
+    # pipeline
+    "select_design_points",
     "build_interval_system",
+    "pointwise_intervals",
+    "build_band",
+    "CcpConfig",
+    "PointwiseIntervals",
+    "PointDiagnostics",
+    # band
+    "ConfidenceBand",
     "eval_density_band",
     "eval_lower",
     "eval_upper",
     "eval_upper_interpolated",
-    "exp_mean",
-    "exp_mean_deriv",
-    "format_table",
-    "pointwise_intervals",
-    "qbeta",
-    "reg_inc_beta",
-    "report_to_json",
-    "run_ccp_point",
+    "band_to_json",
+    "band_from_json",
+    # errors
+    "TooFewSamples",
+    "DuplicateDesignPoint",
+    "InvalidAlpha",
+    "TooFewKnots",
+    # study
+    "StudySpec",
+    "StudyReport",
     "run_study",
-    "sample",
-    "select_design_points",
-    "true_density",
+    "report_to_json",
+    "format_table",
     "__version__",
 ]

@@ -29,7 +29,7 @@ and acts only as a numerical floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -45,7 +45,6 @@ __all__ = [
     "SubproblemTemplate",
     "default_log_bounds",
     "initial_point",
-    "build_subproblem",
     "run_ccp_point",
     "pointwise_intervals",
 ]
@@ -83,7 +82,6 @@ class CcpConfig:
     obj_tol: float = 1e-7
     init: str = "data"      # "data" | "random"
     seed: int = 0
-    exact_up: bool = False  # enforce true UP rows by cutting planes
     feas_eps: float = 1e-5
     step_max: float = 0.25
 
@@ -286,9 +284,6 @@ class SubproblemTemplate:
         dn1_0 = up0 + P
         dn2_0 = dn1_0 + P
         self.n_rows = dn2_0 + P
-        self.row_labels = (
-            ["conc"] * self.n_conc + ["up"] * P + ["down1"] * P + ["down2"] * P
-        )
 
         # UP rows: sum of linearized chord bounds <= d_B
         up_rows = np.concatenate([up0 + self.pair_of_cell] * 2)
@@ -363,10 +358,9 @@ class SubproblemTemplate:
         t: int,
         sense: str,
         tau: float,
-        extra_up_points: tuple[FeasiblePoint, ...] = (),
         step_max: float = math.inf,
     ) -> LinearProgram:
-        """Linear program linearized at point, with optional extra UP cuts.
+        """Linear program linearized at point.
 
         A finite step_max intersects the variable box with a trust region
         of that radius around the linearization point (g radii scaled by
@@ -421,18 +415,8 @@ class SubproblemTemplate:
         rhs[self.n_conc + P : self.n_conc + 2 * P] = -c_b + u_const
         rhs[self.n_conc + 2 * P :] = -c_b + v_const
 
-        rows_idx, cols_idx, vals = self._rows, self._cols, data
-        n_rows = self.n_rows
-        if extra_up_points:
-            extra = self._extra_up_rows(extra_up_points, n_rows)
-            rows_idx = np.concatenate([rows_idx, extra[0]])
-            cols_idx = np.concatenate([cols_idx, extra[1]])
-            vals = np.concatenate([vals, extra[2]])
-            rhs = np.concatenate([rhs, extra[3]])
-            n_rows += extra[3].size
-
         mat = sparse.coo_matrix(
-            (vals, (rows_idx, cols_idx)), shape=(n_rows, self.nvar)
+            (data, (self._rows, self._cols)), shape=(self.n_rows, self.nvar)
         )
         objective = np.zeros(self.nvar)
         objective[t - 1] = 1.0 if sense == "min" else -1.0
@@ -456,35 +440,6 @@ class SubproblemTemplate:
             upper=upper,
         )
 
-    def _extra_up_rows(self, points, row_offset):
-        rows, cols, vals, rhs = [], [], [], []
-        r = row_offset
-        for pt in points:
-            cl = linearize_cells(self.grid, pt)
-            idx = self.cells
-            l_dlo = cl.l_dlo[idx]
-            l_dhi = cl.l_dhi[idx]
-            const = self._pair_reduce(
-                cl.l_val[idx] - l_dlo * pt.ell[idx] - l_dhi * pt.ell[idx + 1]
-            )
-            rows.append(np.concatenate([r + self.pair_of_cell] * 2))
-            cols.append(np.concatenate([idx, idx + 1]))
-            vals.append(np.concatenate([l_dlo, l_dhi]))
-            rhs.append(self.cd_bounds[:, 1] - const)
-            r += self.n_pairs
-        return (
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-            np.concatenate(rhs),
-        )
-
-    def up_violation(self, point: FeasiblePoint) -> np.ndarray:
-        """True chord-mass excess over d_B per pair (positive = violated)."""
-        cl = linearize_cells(self.grid, point)
-        sums = self._pair_reduce(cl.l_val[self.cells])
-        return sums - self.cd_bounds[:, 1]
-
     def up_shift(self, point: FeasiblePoint) -> float:
         """Uniform drop in ell that restores every chord-mass cap exactly.
 
@@ -496,18 +451,6 @@ class SubproblemTemplate:
         sums = self._pair_reduce(cl.l_val[self.cells])
         rmax = float((sums / self.cd_bounds[:, 1]).max(initial=0.0))
         return math.log(rmax) if rmax > 1.0 else 0.0
-
-
-def build_subproblem(
-    grid: DesignGrid,
-    system: IntervalSystem,
-    point: FeasiblePoint,
-    t: int,
-    sense: str,
-    tau: float,
-) -> LinearProgram:
-    """One CCP iteration's linear program, linearized at the given point."""
-    return SubproblemTemplate(grid, system).instantiate(point, t, sense, tau)
 
 
 def run_ccp_point(
@@ -576,10 +519,16 @@ def _penalty_schedule(
     stopped = False
     slack_total = math.inf
     iterations = 0
-    tau = cfg.tau0
 
-    # the iteration index runs K = 0..K_max inclusive
-    for k in range(cfg.k_max + 1):
+    # The ramp runs K = 0..K_max inclusive.  An iterate sliding along
+    # curved mass constraints contracts geometrically, and a contraction
+    # ratio near 1 outlasts k_max while the iterate is already slack-clean.
+    # Warm-started solves make extra fixed-penalty iterations cheap, so past
+    # k_max the schedule settles on while the slack stays clean (bounded,
+    # so a genuine stall still reports).
+    for k in range(cfg.k_max + 1 + _SETTLE_LIMIT):
+        if k > cfg.k_max and slack_total > cfg.slack_tol:
+            break
         tau = min(cfg.tau0 * cfg.kappa**k, cfg.tau_max)
         point, basis, slack_total, obj, status = _ccp_step(
             grid, system, template, point, basis, t, sense, tau, cfg
@@ -601,36 +550,6 @@ def _penalty_schedule(
             # feasibility (not just a capped penalty) gates convergence, so
             # constraints are never left penalty-bought; iterations past the
             # tau cap polish away residual linearization overshoot
-            stopped = True
-            break
-        prev_obj = obj
-
-    # An iterate sliding along curved mass constraints contracts
-    # geometrically, and a contraction ratio near 1 outlasts k_max while
-    # the iterate is already slack-clean.  Warm-started solves make extra
-    # fixed-penalty iterations cheap, so run the schedule on until the
-    # criterion settles (bounded, so a genuine stall still reports).
-    settle = 0
-    while not stopped and slack_total <= cfg.slack_tol and settle < _SETTLE_LIMIT:
-        tau = min(tau * cfg.kappa, cfg.tau_max)
-        point, basis, slack_total, obj, status = _ccp_step(
-            grid, system, template, point, basis, t, sense, tau, cfg
-        )
-        if status != "ok":
-            value = float(point.ell[t - 1])
-            diag = PointDiagnostics(
-                t=t, sense=sense, status=status, iterations=iterations,
-                final_slack=slack_total, worst_violation=math.inf, value=value,
-            )
-            return value, diag
-        settle += 1
-        iterations += 1
-        if (
-            prev_obj is not None
-            and slack_total <= cfg.slack_tol
-            and abs(obj - prev_obj) <= cfg.obj_tol
-            and check_feasible(grid, system, point, cfg.feas_eps).feasible
-        ):
             stopped = True
             break
         prev_obj = obj
@@ -660,30 +579,18 @@ def _ccp_step(
     """One linearize-and-solve step; returns (point, basis, slack, obj, status).
 
     On LP failure the incoming point is returned unchanged with the failure
-    status; otherwise status is "ok".  In exact-UP mode the solve repeats
-    with supporting-hyperplane cuts until the solution obeys every true
-    chord-mass cap.
+    status; otherwise status is "ok".  A failed warm-started solve is
+    retried cold once.
     """
     m = grid.m
-    cuts: tuple[FeasiblePoint, ...] = ()
-    for _ in range(20 if cfg.exact_up else 1):
-        lp = template.instantiate(
-            point, t, sense, tau, extra_up_points=cuts, step_max=cfg.step_max
-        )
-        sol = solve_lp(lp, warm=basis if not cuts else None)
-        if sol.status != "optimal" and basis is not None and not cuts:
-            sol = solve_lp(lp)
-        if sol.status != "optimal":
-            return point, basis, math.inf, math.inf, f"lp_{sol.status}"
-        candidate = FeasiblePoint(ell=sol.z[:m], g=sol.z[m : 2 * m - 2])
-        if not cfg.exact_up:
-            break
-        viol = template.up_violation(candidate)
-        if viol.max(initial=-math.inf) <= 1e-9:
-            break
-        cuts = cuts + (candidate,)
-    if not cuts:
-        basis = sol.basis
+    lp = template.instantiate(point, t, sense, tau, step_max=cfg.step_max)
+    sol = solve_lp(lp, warm=basis)
+    if sol.status != "optimal" and basis is not None:
+        sol = solve_lp(lp)
+    if sol.status != "optimal":
+        return point, basis, math.inf, math.inf, f"lp_{sol.status}"
+    candidate = FeasiblePoint(ell=sol.z[:m], g=sol.z[m : 2 * m - 2])
+    basis = sol.basis
     delta = template.up_shift(candidate)
     if delta > 0.0:
         # a trust step can satisfy the tangent rows yet overshoot a true
@@ -758,8 +665,4 @@ def _warmup_basis(
 
 
 def _mark_crossed(diag: PointDiagnostics) -> PointDiagnostics:
-    return PointDiagnostics(
-        t=diag.t, sense=diag.sense, status="crossed", iterations=diag.iterations,
-        final_slack=diag.final_slack, worst_violation=diag.worst_violation,
-        value=diag.value,
-    )
+    return replace(diag, status="crossed")

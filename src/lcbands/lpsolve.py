@@ -33,7 +33,6 @@ __all__ = [
     "LpSolution",
     "BasisState",
     "solve_lp",
-    "dump_lp",
 ]
 
 _DUAL_TOL = 1e-9       # reduced-cost threshold for entering candidates
@@ -133,24 +132,6 @@ class LpSolution:
     iterations: int
     basis: BasisState | None
     message: str = ""
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text rendering for debugging and golden tests."""
-
-    def fmt(vec):
-        return " ".join(f"{v:.12g}" for v in vec)
-
-    rows = lp.rows.toarray() if sparse.issparse(lp.rows) else lp.rows
-    lines = [f"c: {fmt(lp.objective)}"]
-    for row, b in zip(rows, lp.rhs):
-        lines.append(f"r: {fmt(row)} <= {b:.12g}")
-    lines.append("n: " + " ".join("1" if v else "0" for v in lp.nonneg_mask))
-    if lp.lower is not None:
-        lines.append(f"l: {fmt(lp.lower)}")
-    if lp.upper is not None:
-        lines.append(f"u: {fmt(lp.upper)}")
-    return "\n".join(lines) + "\n"
 
 
 class _Simplex:

@@ -3,15 +3,13 @@
 Samples from four textbook densities, runs the full pipeline once per
 repetition, and aggregates empirical coverage, band widths at the sample
 quartiles, and runtimes. Every repetition draws from its own
-counter-based substream, so the aggregated statistics are identical no
-matter how repetitions are scheduled.
+counter-based substream.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -168,17 +166,9 @@ def _run_rep(spec: StudySpec, rep: int) -> tuple[bool, np.ndarray | None, float]
     return covered, hi_q - lo_q, runtime
 
 
-def run_study(spec: StudySpec, threads: int = 1) -> StudyReport:
-    """Run all repetitions of a study cell and aggregate the report.
-
-    Statistical outputs are identical for any thread count; the runtime
-    field is a wall-clock measurement and naturally varies.
-    """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _run_rep(spec, r), range(spec.reps)))
-    else:
-        results = [_run_rep(spec, r) for r in range(spec.reps)]
+def run_study(spec: StudySpec) -> StudyReport:
+    """Run all repetitions of a study cell and aggregate the report."""
+    results = [_run_rep(spec, r) for r in range(spec.reps)]
 
     covered = np.array([c for c, _, _ in results], dtype=float)
     runtimes = np.array([t for _, _, t in results], dtype=float)

@@ -13,10 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from cell_oracle import eval_L, eval_U, eval_V
 from lcbands.ccp import (
     CcpConfig,
     SubproblemTemplate,
-    build_subproblem,
     default_log_bounds,
     initial_point,
     pointwise_intervals,
@@ -30,7 +30,7 @@ from lcbands.design import (
     select_design_points,
 )
 from lcbands.lpsolve import solve_lp
-from lcbands.relax import FeasiblePoint, check_feasible, eval_L, eval_U, eval_V
+from lcbands.relax import FeasiblePoint, check_feasible
 
 
 def toy_grid(x) -> DesignGrid:
@@ -73,7 +73,7 @@ def test_subproblem_counts_match_design_n100():
     assert grid.m == 13
     assert system.pair_count == 12
     point = initial_point(grid, system, CcpConfig())
-    lp = build_subproblem(grid, system, point, t=3, sense="min", tau=1.0)
+    lp = SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
     assert lp.num_vars == 36
     assert lp.num_rows == 22 + 12 + 24
     assert int(lp.nonneg_mask.sum()) == 12
@@ -93,8 +93,9 @@ def test_objective_encoding():
     grid = toy_grid(np.linspace(0.0, 2.0, 6))
     system = toy_system(6, c=0.05, d=0.5)
     point = FeasiblePoint(ell=np.zeros(6) - 1.0, g=np.zeros(4))
-    lo = build_subproblem(grid, system, point, t=2, sense="min", tau=7.5)
-    hi = build_subproblem(grid, system, point, t=2, sense="max", tau=7.5)
+    template = SubproblemTemplate(grid, system)
+    lo = template.instantiate(point, 2, "min", 7.5)
+    hi = template.instantiate(point, 2, "max", 7.5)
     base = np.zeros(lo.num_vars)
     base[2 * 6 - 2 :] = 7.5
     want_lo, want_hi = base.copy(), base.copy()
@@ -114,7 +115,7 @@ def test_tangent_rows_touch_at_expansion_point():
     point = FeasiblePoint(
         ell=rng.uniform(-2.0, 0.5, 6), g=rng.uniform(-2.0, 2.0, 4)
     )
-    lp = build_subproblem(grid, system, point, t=3, sense="min", tau=1.0)
+    lp = SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
     z = np.concatenate([point.ell, point.g, np.zeros(system.pair_count)])
     resid = np.asarray(lp.rows @ z).ravel() - lp.rhs
     n_conc, P = 2 * (6 - 2), system.pair_count
@@ -147,6 +148,25 @@ def test_penalty_schedule_exact():
     assert len(template.taus) == diag.iterations
     want = [min(cfg.tau0 * cfg.kappa**k, cfg.tau_max) for k in range(diag.iterations)]
     assert template.taus == want
+
+
+def test_settle_phase_keeps_penalty_schedule():
+    # with k_max=2 every run converges only past the ramp, so the settle
+    # iterations run and must continue the tau schedule unchanged
+    grid, system = gaussian_instance(100, seed=0)
+    cfg = CcpConfig(tau0=1e2, k_max=2)
+    for t in (3, 7):
+        for sense in ("min", "max"):
+            template = _RecordingTemplate(grid, system)
+            _, diag = run_ccp_point(grid, system, t, sense, cfg, template=template)
+            assert diag.status == "converged"
+            assert diag.iterations > cfg.k_max + 1
+            assert len(template.taus) == diag.iterations
+            want = [
+                min(cfg.tau0 * cfg.kappa**k, cfg.tau_max)
+                for k in range(diag.iterations)
+            ]
+            assert template.taus == want
 
 
 def test_monotone_criterion_fixed_tau():
@@ -261,32 +281,3 @@ def test_random_initializations_agree():
             assert diag.status == "converged"
             vals.append(val)
         assert max(vals) - min(vals) <= 1e-4
-
-
-def test_linearized_up_is_conservative():
-    # the linearized chord rows enlarge the feasible set, so the default
-    # intervals contain the exact-cap intervals up to LP tolerance
-    grid, system = gaussian_instance(100, seed=5)
-    for t in (4, 8):
-        for sense in ("min", "max"):
-            relaxed, rd = run_ccp_point(
-                grid, system, t, sense, CcpConfig(seed=5)
-            )
-            exact, ed = run_ccp_point(
-                grid, system, t, sense, CcpConfig(seed=5, exact_up=True)
-            )
-            assert rd.status == ed.status == "converged"
-            if sense == "min":
-                assert relaxed <= exact + 1e-6
-            else:
-                assert relaxed >= exact - 1e-6
-
-
-def test_build_subproblem_matches_template():
-    grid, system = gaussian_instance(100, seed=0)
-    point = initial_point(grid, system, CcpConfig())
-    a = build_subproblem(grid, system, point, t=5, sense="max", tau=3.0)
-    b = SubproblemTemplate(grid, system).instantiate(point, 5, "max", 3.0)
-    np.testing.assert_array_equal(a.objective, b.objective)
-    np.testing.assert_array_equal(a.rhs, b.rhs)
-    assert (a.rows != b.rows).nnz == 0

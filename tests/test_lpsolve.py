@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from lcbands.lpsolve import BasisState, LinearProgram, LpSolution, dump_lp, solve_lp
+from lcbands.lpsolve import BasisState, LinearProgram, LpSolution, solve_lp
 from lp_oracle import brute_force_min
 
 
@@ -237,22 +237,6 @@ def test_redundant_equality_rows_phase1():
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 1.0) <= 1e-9
-
-
-def test_dump_lp_golden():
-    lp = simple_lp(
-        [1.0, -2.5],
-        [[1.0, 1.0], [0.5, 0.0]],
-        [3.0, 1.25],
-        nonneg=[True, False],
-    )
-    expected = (
-        "c: 1 -2.5\n"
-        "r: 1 1 <= 3\n"
-        "r: 0.5 0 <= 1.25\n"
-        "n: 1 0\n"
-    )
-    assert dump_lp(lp) == expected
 
 
 def test_validation_errors():

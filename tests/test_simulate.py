@@ -113,14 +113,6 @@ def test_run_study_fixed_seed_reproducible():
     assert r1.failures == 0
 
 
-def test_run_study_serial_parallel_identical():
-    spec = small_spec(reps=4, seed=7)
-    serial = run_study(spec, threads=1)
-    parallel = run_study(spec, threads=3)
-    for field in ("coverage", "width_q1", "width_q2", "width_q3", "failures"):
-        assert getattr(serial, field) == getattr(parallel, field), field
-
-
 def test_failed_reps_counted_conservatively(monkeypatch):
     bad = PointwiseIntervals(
         indices=(1,),
