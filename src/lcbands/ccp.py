@@ -15,7 +15,7 @@ relaxed rows, and solves the resulting linear program
     s.t. CONC rows, linearized UP rows, linearized DOWN rows, slacks >= 0,
          ell boxed to a wide data-driven range
 
-with the penalty tau_K = min(tau0 * kappa^K, tau_max) growing each
+with the penalty tau_K = min(TAU0 * KAPPA^K, TAU_MAX) growing each
 iteration.  Iterates reuse the previous basis, and all candidate starts for
 one dataset share the basis of the very first solve, since every first
 iteration sees identical constraints under the data-driven initializer.
@@ -49,7 +49,29 @@ __all__ = [
     "pointwise_intervals",
 ]
 
-# extra fixed-penalty iterations allowed past k_max while the iterate is
+# Penalty schedule: tau_K = min(TAU0 * KAPPA**K, TAU_MAX) for K = 0..K_MAX.
+TAU0 = 1e-4
+KAPPA = 2.0
+TAU_MAX = 1e4
+K_MAX = 50
+
+# Stopping rule: total slack, objective change, cell-mass feasibility.
+SLACK_TOL = 1e-6
+OBJ_TOL = 1e-7
+FEAS_EPS = 1e-5
+
+# STEP_MAX bounds each iterate's move in every ell coordinate (and, scaled
+# by the local knot gap, in every g coordinate).  The penalty schedule
+# needs this: while tau is small the subproblem pays almost nothing for
+# slack, so an unrestricted step dives far below the true optimum, where
+# the tangent coefficients decay like exp(-depth) and can no longer
+# transmit the growing penalty back to the iterate.  Bounding the step by R
+# keeps the decay rate exp(-R) per iteration below the penalty growth
+# KAPPA, so the penalty always catches up; this requires R < ln(KAPPA)
+# with some margin.
+STEP_MAX = 0.25
+
+# extra fixed-penalty iterations allowed past K_MAX while the iterate is
 # slack-clean but the stopping criterion is still drifting
 _SETTLE_LIMIT = 100
 
@@ -61,39 +83,20 @@ LOG_BOX_HALFWIDTH = 25.0
 
 @dataclass(frozen=True)
 class CcpConfig:
-    """Tuning for the penalty schedule, stopping rule, and initializer.
+    """Choice of CCP starting point.
 
-    step_max bounds each iterate's move in every ell coordinate (and,
-    scaled by the local knot gap, in every g coordinate).  The penalty
-    schedule needs this: while tau is small the subproblem pays almost
-    nothing for slack, so an unrestricted step dives far below the true
-    optimum, where the tangent coefficients decay like exp(-depth) and can
-    no longer transmit the growing penalty back to the iterate.  Bounding
-    the step by R keeps the decay rate exp(-R) per iteration below the
-    penalty growth kappa, so the penalty always catches up; this requires
-    R < ln(kappa) with some margin.
+    init="data" (the default) starts every run from the histogram levels,
+    so seed plays no part; CcpConfig(init="random", seed=s) starts each
+    (point, sense) run from its own seeded draw.  The schedule and stopping
+    constants are module constants of lcbands.ccp.
     """
 
-    tau0: float = 1e-4
-    kappa: float = 2.0
-    tau_max: float = 1e4
-    k_max: int = 50
-    slack_tol: float = 1e-6
-    obj_tol: float = 1e-7
     init: str = "data"      # "data" | "random"
     seed: int = 0
-    feas_eps: float = 1e-5
-    step_max: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.tau0 <= 0 or self.kappa <= 1 or self.tau_max <= self.tau0:
-            raise ValueError("need tau0 > 0, kappa > 1, tau_max > tau0")
-        if self.k_max < 1:
-            raise ValueError("k_max must be positive")
         if self.init not in ("data", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        if not self.step_max > 0:
-            raise ValueError("step_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -183,27 +186,19 @@ def _restore_hard_feasible(
     grid: DesignGrid,
     system: IntervalSystem,
     levels: np.ndarray,
-    slopes: np.ndarray | None = None,
 ) -> FeasiblePoint:
-    """Hard-feasible point close to the given log levels (and slopes).
+    """Hard-feasible point close to the given log levels.
 
-    Concave majorant repairs the levels; each knot slope is then confined
-    to the wedge between its adjacent secants (the CONC rows say exactly
-    that the tangent at a knot lies above both neighbors), taking the
-    given slopes clipped when provided and the centered secants otherwise.
-    A final uniform down-shift by the largest log chord-mass excess
-    satisfies every UP cap (a shift by delta scales each chord mass by
-    exp(-delta)).
+    Concave majorant repairs the levels, and each knot slope is the
+    centered secant, which lies between the adjacent secants of the
+    concave levels (the CONC rows say exactly that the tangent at a knot
+    lies above both neighbors).  A final uniform down-shift by the largest
+    log chord-mass excess satisfies every UP cap (a shift by delta scales
+    each chord mass by exp(-delta)).
     """
     x = grid.x
     ell = _concave_majorant(x, levels)
-    secant = np.diff(ell) / np.diff(x)
-    if slopes is None:
-        g = (ell[2:] - ell[:-2]) / (x[2:] - x[:-2])
-    else:
-        # right secant <= g_i <= left secant, a valid wedge since the
-        # majorized levels are concave
-        g = np.clip(slopes, secant[1:], secant[:-1])
+    g = (ell[2:] - ell[:-2]) / (x[2:] - x[:-2])
     point = FeasiblePoint(ell=ell, g=g)
 
     cell_mass = linearize_cells(grid, point).l_val
@@ -342,8 +337,6 @@ class SubproblemTemplate:
         self.upper = np.concatenate(
             [np.full(m, hi), np.full(m - 2, np.inf), np.full(P, np.inf)]
         )
-        self.nonneg_mask = np.zeros(self.nvar, dtype=bool)
-        self.nonneg_mask[2 * m - 2 :] = True
         dx = np.diff(x)
         self._g_gap = np.minimum(dx[:-1], dx[1:])  # local scale per g_i
 
@@ -435,7 +428,6 @@ class SubproblemTemplate:
             objective=objective,
             rows=mat,
             rhs=rhs,
-            nonneg_mask=self.nonneg_mask,
             lower=lower,
             upper=upper,
         )
@@ -489,12 +481,12 @@ def run_ccp_point(
         )
         return value, diag
     value, diag = _penalty_schedule(
-        grid, system, t, sense, cfg, template, shared_basis
+        grid, system, t, sense, cfg, template, shared_basis, STEP_MAX
     )
-    if diag.status == "not_converged" and diag.final_slack > cfg.slack_tol:
-        narrow = replace(cfg, step_max=cfg.step_max * _RETRY_SHRINK)
+    if diag.status == "not_converged" and diag.final_slack > SLACK_TOL:
         value2, diag2 = _penalty_schedule(
-            grid, system, t, sense, narrow, template, shared_basis
+            grid, system, t, sense, cfg, template, shared_basis,
+            STEP_MAX * _RETRY_SHRINK,
         )
         if diag2.status == "converged":
             return value2, replace(
@@ -511,6 +503,7 @@ def _penalty_schedule(
     cfg: CcpConfig,
     template: SubproblemTemplate,
     shared_basis: BasisState | None,
+    step_max: float,
 ) -> tuple[float, PointDiagnostics]:
     """One full pass of the penalty ramp, the settle phase, and the report."""
     point = initial_point(grid, system, cfg, t, sense)
@@ -520,18 +513,18 @@ def _penalty_schedule(
     slack_total = math.inf
     iterations = 0
 
-    # The ramp runs K = 0..K_max inclusive.  An iterate sliding along
+    # The ramp runs K = 0..K_MAX inclusive.  An iterate sliding along
     # curved mass constraints contracts geometrically, and a contraction
-    # ratio near 1 outlasts k_max while the iterate is already slack-clean.
+    # ratio near 1 outlasts K_MAX while the iterate is already slack-clean.
     # Warm-started solves make extra fixed-penalty iterations cheap, so past
-    # k_max the schedule settles on while the slack stays clean (bounded,
+    # K_MAX the schedule settles on while the slack stays clean (bounded,
     # so a genuine stall still reports).
-    for k in range(cfg.k_max + 1 + _SETTLE_LIMIT):
-        if k > cfg.k_max and slack_total > cfg.slack_tol:
+    for k in range(K_MAX + 1 + _SETTLE_LIMIT):
+        if k > K_MAX and slack_total > SLACK_TOL:
             break
-        tau = min(cfg.tau0 * cfg.kappa**k, cfg.tau_max)
+        tau = min(TAU0 * KAPPA**k, TAU_MAX)
         point, basis, slack_total, obj, status = _ccp_step(
-            grid, system, template, point, basis, t, sense, tau, cfg
+            grid, system, template, point, basis, t, sense, tau, step_max
         )
         if status != "ok":
             value = float(point.ell[t - 1])
@@ -543,9 +536,9 @@ def _penalty_schedule(
         iterations = k + 1
         if (
             prev_obj is not None
-            and slack_total <= cfg.slack_tol
-            and abs(obj - prev_obj) <= cfg.obj_tol
-            and check_feasible(grid, system, point, cfg.feas_eps).feasible
+            and slack_total <= SLACK_TOL
+            and abs(obj - prev_obj) <= OBJ_TOL
+            and check_feasible(grid, system, point, FEAS_EPS).feasible
         ):
             # feasibility (not just a capped penalty) gates convergence, so
             # constraints are never left penalty-bought; iterations past the
@@ -554,9 +547,9 @@ def _penalty_schedule(
             break
         prev_obj = obj
 
-    report = check_feasible(grid, system, point, cfg.feas_eps)
+    report = check_feasible(grid, system, point, FEAS_EPS)
     value = float(point.ell[t - 1])
-    converged = report.feasible and slack_total <= cfg.slack_tol and stopped
+    converged = report.feasible and slack_total <= SLACK_TOL and stopped
     diag = PointDiagnostics(
         t=t, sense=sense, status="converged" if converged else "not_converged",
         iterations=iterations, final_slack=slack_total,
@@ -574,7 +567,7 @@ def _ccp_step(
     t: int,
     sense: str,
     tau: float,
-    cfg: CcpConfig,
+    step_max: float,
 ) -> tuple[FeasiblePoint, BasisState | None, float, float, str]:
     """One linearize-and-solve step; returns (point, basis, slack, obj, status).
 
@@ -583,7 +576,7 @@ def _ccp_step(
     retried cold once.
     """
     m = grid.m
-    lp = template.instantiate(point, t, sense, tau, step_max=cfg.step_max)
+    lp = template.instantiate(point, t, sense, tau, step_max=step_max)
     sol = solve_lp(lp, warm=basis)
     if sol.status != "optimal" and basis is not None:
         sol = solve_lp(lp)
@@ -659,7 +652,7 @@ def _warmup_basis(
 ) -> BasisState | None:
     """Solve the first program once, cold, to harvest a shareable basis."""
     point = initial_point(grid, system, cfg)
-    lp = template.instantiate(point, t, "min", cfg.tau0, step_max=cfg.step_max)
+    lp = template.instantiate(point, t, "min", TAU0, step_max=STEP_MAX)
     sol = solve_lp(lp)
     return sol.basis if sol.status == "optimal" else None
 

@@ -1,8 +1,7 @@
 """Embedded linear-programming solver.
 
-Solves   min c @ z   subject to   rows @ z <= rhs   and per-variable bounds,
-where bounds default to z_j >= 0 when nonneg_mask[j] is set and free
-otherwise; explicit lower/upper vectors override the mask.
+Solves   min c @ z   subject to   rows @ z <= rhs   and   lower <= z <= upper,
+where rows is a scipy.sparse matrix and each bound may be infinite.
 
 The algorithm is a bounded-variable two-phase revised simplex.  Slack
 variables turn the rows into equalities; rows whose slack would start
@@ -22,7 +21,7 @@ proceeds as usual.  Only an irreparable basis falls back to a cold start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -49,48 +48,36 @@ _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Inequality-form program: minimize objective @ z with rows @ z <= rhs.
-
-    nonneg_mask marks variables bounded below by zero; others are free.
-    Optional lower/upper arrays (entries may be +-inf) override the mask.
-    """
+    """Inequality-form program: minimize objective @ z with rows @ z <= rhs
+    and lower <= z <= upper (bound entries may be +-inf)."""
 
     objective: np.ndarray
-    rows: object            # (r, n) ndarray or scipy.sparse matrix
+    rows: sparse.spmatrix   # (r, n)
     rhs: np.ndarray
-    nonneg_mask: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
-        object.__setattr__(self, "nonneg_mask", np.asarray(self.nonneg_mask, dtype=bool))
+        for name in ("objective", "rhs", "lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.objective.size
         r = self.rhs.size
-        rows = self.rows
-        if not sparse.issparse(rows):
-            rows = np.asarray(rows, dtype=float)
-            if rows.size == 0:
-                rows = rows.reshape(r, n)
-            object.__setattr__(self, "rows", rows)
+        if not sparse.issparse(self.rows):
+            raise TypeError("rows must be a scipy.sparse matrix")
         if self.rows.shape != (r, n):
             raise ValueError(f"rows shape {self.rows.shape}, expected ({r}, {n})")
-        if self.nonneg_mask.shape != (n,):
-            raise ValueError("nonneg_mask length mismatch")
         if not np.isfinite(self.objective).all() or not np.isfinite(self.rhs).all():
             raise ValueError("objective and rhs must be finite")
-        data = self.rows.data if sparse.issparse(self.rows) else self.rows
-        if not np.isfinite(data).all():
+        if not np.isfinite(self.rows.data).all():
             raise ValueError("row coefficients must be finite")
-        for name, arr in (("lower", self.lower), ("upper", self.upper)):
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                if arr.shape != (n,):
-                    raise ValueError(f"{name} bound length mismatch")
-                if np.isnan(arr).any():
-                    raise ValueError(f"{name} bounds must not be NaN")
-                object.__setattr__(self, name, arr)
+        for name in ("lower", "upper"):
+            arr = getattr(self, name)
+            if arr.shape != (n,):
+                raise ValueError(f"{name} bound length mismatch")
+            if np.isnan(arr).any():
+                raise ValueError(f"{name} bounds must not be NaN")
+        if (self.lower > self.upper).any():
+            raise ValueError("lower bound exceeds upper bound")
 
     @property
     def num_vars(self) -> int:
@@ -99,18 +86,6 @@ class LinearProgram:
     @property
     def num_rows(self) -> int:
         return self.rhs.size
-
-    def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.num_vars
-        lo = np.where(self.nonneg_mask, 0.0, -np.inf)
-        up = np.full(n, np.inf)
-        if self.lower is not None:
-            lo = self.lower.copy()
-        if self.upper is not None:
-            up = self.upper.copy()
-        if (lo > up).any():
-            raise ValueError("lower bound exceeds upper bound")
-        return lo, up
 
 
 @dataclass(frozen=True)
@@ -128,10 +103,8 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded | iteration_limit
     z: np.ndarray | None
     objective_value: float | None
-    dual: np.ndarray | None
     iterations: int
     basis: BasisState | None
-    message: str = ""
 
 
 class _Simplex:
@@ -145,16 +118,16 @@ class _Simplex:
         # rule; used to retry a solve whose final point failed the audit
         self.harris_delta = 0.0 if safe else 1e-10
         self.stall_limit = 20 if safe else _STALL_LIMIT
-        a = lp.rows if sparse.issparse(lp.rows) else sparse.csc_matrix(lp.rows)
-        lo, up = lp.bound_arrays()
+        # set when the final point fails the feasibility audit
+        self.audit_failed = False
 
         # columns: structural | slack identity | artificial slots (-identity,
         # activated per negative-residual row during phase 1)
         eye = sparse.identity(r, format="csc")
-        self.cols = sparse.hstack([a.tocsc(), eye, -eye], format="csc")
+        self.cols = sparse.hstack([lp.rows.tocsc(), eye, -eye], format="csc")
         self.ncols = n + 2 * r
-        self.lower = np.concatenate([lo, np.zeros(r), np.zeros(r)])
-        self.upper = np.concatenate([up, np.full(r, np.inf), np.zeros(r)])
+        self.lower = np.concatenate([lp.lower, np.zeros(r), np.zeros(r)])
+        self.upper = np.concatenate([lp.upper, np.full(r, np.inf), np.zeros(r)])
         self.cost = np.zeros(self.ncols)
         self.cost[:n] = lp.objective
         self.b = lp.rhs
@@ -531,50 +504,41 @@ class _Simplex:
             self._refactor()
             self._recompute_basics()
         status = self.run_phase(self.cost)
-        if status == "numerical":
-            return self._finish("iteration_limit", "basis factorization failed")
+        if status == "numerical":  # basis factorization failed
+            return self._finish("iteration_limit")
         return self._finish(status)
 
-    def _finish(self, status: str, message: str = "") -> LpSolution:
+    def _finish(self, status: str) -> LpSolution:
         n, r = self.n, self.r
         if status != "optimal":
             return LpSolution(
-                status=status, z=None, objective_value=None, dual=None,
-                iterations=self.iterations, basis=None, message=message,
+                status=status, z=None, objective_value=None,
+                iterations=self.iterations, basis=None,
             )
         self._refactor()
         self._recompute_basics()
         x = self._nonbasic_values()
         x[self.basis] = self.x_basic
         z = x[:n]
-        rows = self.lp.rows
-        row_resid = (rows @ z) - self.lp.rhs
-        lo, up = self.lp.bound_arrays()
+        row_resid = (self.lp.rows @ z) - self.lp.rhs
         scale = max(1.0, float(np.abs(self.lp.rhs).max(initial=0.0)))
         if (
             row_resid.max(initial=-np.inf) > _FEAS_TOL * scale
-            or (z - up).max(initial=-np.inf) > _FEAS_TOL
-            or (lo - z).max(initial=-np.inf) > _FEAS_TOL
+            or (z - self.lp.upper).max(initial=-np.inf) > _FEAS_TOL
+            or (self.lp.lower - z).max(initial=-np.inf) > _FEAS_TOL
         ):
-            return LpSolution(
-                status="iteration_limit", z=None, objective_value=None, dual=None,
-                iterations=self.iterations, basis=None,
-                message="final point failed the feasibility audit",
-            )
-        y = self._btran(self.cost[self.basis])
+            self.audit_failed = True
+            return self._finish("iteration_limit")
         state = BasisState(
             basis=self.basis.copy(),
             nb_state=self.nb_state.copy(),
             num_vars=n,
             num_rows=r,
         )
-        # clamp slack-basis artifacts: any basis column >= n+r would have
-        # survived only on a redundant row and carries value 0
         return LpSolution(
             status="optimal",
             z=z,
             objective_value=float(self.lp.objective @ z),
-            dual=y,
             iterations=self.iterations,
             basis=state,
         )
@@ -585,11 +549,13 @@ def solve_lp(lp: LinearProgram, warm: BasisState | None = None) -> LpSolution:
 
     The returned basis (when optimal) can seed the next solve of a
     structurally identical program; an unusable warm basis falls back to a
-    cold two-phase start.
+    cold two-phase start, and a final point that fails the feasibility audit
+    is solved again cold in safe mode.
     """
     if lp.num_rows == 0:
         raise ValueError("program must have at least one row")
-    sol = _Simplex(lp).solve(warm)
-    if sol.status == "iteration_limit" and "audit" in sol.message:
+    simplex = _Simplex(lp)
+    sol = simplex.solve(warm)
+    if simplex.audit_failed:
         sol = _Simplex(lp, safe=True).solve(None)
     return sol

@@ -150,8 +150,7 @@ def _run_rep(spec: StudySpec, rep: int) -> tuple[bool, np.ndarray | None, float]
     grid = select_design_points(data)
     system = build_interval_system(grid, spec.alpha)
     subset = evenly_spread_subset(grid.m, spec.subset_frac)
-    cfg = CcpConfig(seed=spec.seed)
-    intervals = pointwise_intervals(grid, system, cfg, subset)
+    intervals = pointwise_intervals(grid, system, CcpConfig(), subset)
     if not intervals.all_converged:
         return False, None, time.perf_counter() - start
     band = build_band(grid, intervals, mode="interpolated-upper", alpha=spec.alpha)

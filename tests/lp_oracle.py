@@ -8,15 +8,13 @@ solver.  Only suitable for small, bounded instances.
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 
 
 def lp_to_halfspaces(lp) -> tuple[np.ndarray, np.ndarray]:
     """All constraints of a LinearProgram as rows of A z <= b, bounds included."""
-    rows = lp.rows.toarray() if sparse.issparse(lp.rows) else np.asarray(lp.rows, float)
-    a_parts = [rows]
+    a_parts = [lp.rows.toarray()]
     b_parts = [np.asarray(lp.rhs, float)]
-    lo, up = lp.bound_arrays()
+    lo, up = lp.lower, lp.upper
     n = lp.num_vars
     eye = np.eye(n)
     fin_lo = np.isfinite(lo)

@@ -43,7 +43,7 @@ def pipeline_band():
     rng = np.random.Generator(np.random.Philox(key=[3, 0]))
     grid = select_design_points(rng.normal(size=100))
     system = build_interval_system(grid, 0.05)
-    res = pointwise_intervals(grid, system, CcpConfig(seed=3), range(1, 14))
+    res = pointwise_intervals(grid, system, CcpConfig(), range(1, 14))
     return build_band(grid, res, alpha=0.05)
 
 
@@ -127,7 +127,7 @@ def test_band_ordering_on_dense_grid(pipeline_band):
 
 def test_lower_band_concavity(pipeline_band):
     # knot values from independent numerical minimizations are concave up
-    # to solver precision (obj_tol), not to machine precision
+    # to solver precision (OBJ_TOL), not to machine precision
     band = pipeline_band
     slopes = np.diff(band.lo_log) / np.diff(band.knots)
     assert np.max(np.diff(slopes)) <= 1e-7

@@ -14,18 +14,36 @@ from lp_oracle import brute_force_min
 
 
 def simple_lp(objective, rows, rhs, nonneg=None, lower=None, upper=None):
+    """Program from dense row data; z >= 0 where nonneg (default all), else free.
+
+    Explicit lower/upper arrays override the nonneg flags.
+    """
     objective = np.asarray(objective, dtype=float)
     n = objective.size
     if nonneg is None:
         nonneg = np.ones(n, dtype=bool)
+    if lower is None:
+        lower = np.where(np.asarray(nonneg, dtype=bool), 0.0, -np.inf)
+    if upper is None:
+        upper = np.full(n, np.inf)
     return LinearProgram(
         objective=objective,
-        rows=np.asarray(rows, dtype=float).reshape(-1, n),
+        rows=sparse.csc_matrix(np.asarray(rows, dtype=float).reshape(-1, n)),
         rhs=np.asarray(rhs, dtype=float),
-        nonneg_mask=np.asarray(nonneg, dtype=bool),
         lower=lower,
         upper=upper,
     )
+
+
+def solver_multipliers(lp, sol):
+    """Row multipliers y of an optimal basis: B^T y = c_B over the solver's
+    columns [rows | I | -I] with costs [objective | 0 | 0]."""
+    r = lp.num_rows
+    eye = np.eye(r)
+    cols = np.hstack([lp.rows.toarray(), eye, -eye])
+    cost = np.concatenate([lp.objective, np.zeros(2 * r)])
+    basis = sol.basis.basis
+    return np.linalg.solve(cols[:, basis].T, cost[basis])
 
 
 def test_one_var_nonneg():
@@ -130,8 +148,8 @@ def test_duality_certificate():
         lp = _random_bounded_lp(rng)
         sol = solve_lp(lp)
         assert sol.status == "optimal"
-        y = sol.dual
-        rows = np.asarray(lp.rows, dtype=float)
+        y = solver_multipliers(lp, sol)
+        rows = lp.rows.toarray()
         # multipliers of <= rows in a minimization are nonpositive
         assert (y <= 1e-9).all()
         resid = rows @ sol.z - lp.rhs
@@ -153,7 +171,8 @@ def test_warm_start_agrees_with_cold():
         objective=lp.objective + 1e-3 * rng.normal(size=8),
         rows=lp.rows,
         rhs=lp.rhs + 1e-3 * rng.normal(size=lp.rhs.size),
-        nonneg_mask=lp.nonneg_mask,
+        lower=lp.lower,
+        upper=lp.upper,
     )
     warm = solve_lp(lp2, warm=cold.basis)
     cold2 = solve_lp(lp2)
@@ -188,9 +207,10 @@ def test_row_scaling_invariance():
     scale = 1000.0
     lp_scaled = LinearProgram(
         objective=lp.objective,
-        rows=np.asarray(lp.rows) * scale,
+        rows=lp.rows * scale,
         rhs=lp.rhs * scale,
-        nonneg_mask=lp.nonneg_mask,
+        lower=lp.lower,
+        upper=lp.upper,
     )
     a, b = solve_lp(lp), solve_lp(lp_scaled)
     assert a.status == b.status == "optimal"
@@ -220,7 +240,8 @@ def test_sparse_rows_accepted():
         objective=np.array([-1.0, -2.0]),
         rows=rows,
         rhs=np.array([1.0, 0.0]),
-        nonneg_mask=np.array([True, True]),
+        lower=np.zeros(2),
+        upper=np.full(2, np.inf),
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -244,24 +265,25 @@ def test_validation_errors():
         simple_lp([1.0, np.nan], [[1.0, 1.0]], [1.0])
     with pytest.raises(ValueError):
         simple_lp([1.0], [[1.0, 2.0]], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # bound length mismatch
+        simple_lp([1.0], [[1.0]], [1.0], lower=np.zeros(2))
+    with pytest.raises(ValueError):  # rejected at construction, not at solve
+        simple_lp([1.0], [[1.0]], [1.0], lower=np.array([2.0]), upper=np.array([1.0]))
+    with pytest.raises(TypeError):
         LinearProgram(
             objective=np.array([1.0]),
             rows=np.array([[1.0]]),
             rhs=np.array([1.0]),
-            nonneg_mask=np.array([True, False]),
+            lower=np.zeros(1),
+            upper=np.full(1, np.inf),
         )
     with pytest.raises(ValueError):
         solve_lp(
             LinearProgram(
                 objective=np.array([1.0]),
-                rows=np.empty((0, 1)),
+                rows=sparse.csc_matrix((0, 1)),
                 rhs=np.empty(0),
-                nonneg_mask=np.array([True]),
+                lower=np.zeros(1),
+                upper=np.full(1, np.inf),
             )
         )
-    lp = simple_lp(
-        [1.0], [[1.0]], [1.0], lower=np.array([2.0]), upper=np.array([1.0])
-    )
-    with pytest.raises(ValueError):
-        solve_lp(lp)
