@@ -66,6 +66,19 @@ class ConfidenceBand:
     def __post_init__(self) -> None:
         if self.mode not in ("guaranteed", "interpolated-upper"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        m = np.size(self.knots)
+        if m < 3:
+            raise TooFewKnots(f"need at least 3 knots, got {m}")
+        sizes = {
+            "knots": m, "lo_log": m, "hi_log": m, "L": m - 1, "R": m - 1,
+            "xbar": m - 3,
+        }
+        for name, size in sizes.items():
+            if np.shape(getattr(self, name)) != (size,):
+                raise ValueError(
+                    f"{name} has shape {np.shape(getattr(self, name))}, "
+                    f"expected ({size},) for {m} knots"
+                )
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
 

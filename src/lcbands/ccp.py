@@ -97,6 +97,9 @@ class CcpConfig:
     def __post_init__(self) -> None:
         if self.init not in ("data", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        # the seed keys a Philox stream, which takes unsigned 64-bit words
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,12 @@ def initial_point(
 
     Either draw is post-processed so the point satisfies the hard rows of
     the first subproblem: the log levels are replaced by their least
-    concave majorant (whose centered slopes satisfy CONC exactly) and then
-    shifted down uniformly until every pair's chord mass is at most d_B (a
-    uniform shift scales each chord mass by exp(-delta) exactly).  Random
-    initialization draws an independent substream per (t, sense) so results
-    do not depend on solve order.
+    concave majorant, and each knot slope is the centered secant, which
+    lies between the adjacent secants of the concave levels (the CONC rows
+    say exactly that the tangent at a knot lies above both neighbors).  The
+    levels are then shifted down by chord_cap_shift, so every pair's chord
+    mass is at most d_B.  Random initialization draws an independent
+    substream per (t, sense) so results do not depend on solve order.
     """
     if cfg.init == "data":
         raw = np.clip(_histogram_log_density(grid), -30.0, 30.0)
@@ -179,40 +183,24 @@ def initial_point(
             )
         )
         raw = stream.standard_normal(grid.m)
-    return _restore_hard_feasible(grid, system, raw)
-
-
-def _restore_hard_feasible(
-    grid: DesignGrid,
-    system: IntervalSystem,
-    levels: np.ndarray,
-) -> FeasiblePoint:
-    """Hard-feasible point close to the given log levels.
-
-    Concave majorant repairs the levels, and each knot slope is the
-    centered secant, which lies between the adjacent secants of the
-    concave levels (the CONC rows say exactly that the tangent at a knot
-    lies above both neighbors).  A final uniform down-shift by the largest
-    log chord-mass excess satisfies every UP cap (a shift by delta scales
-    each chord mass by exp(-delta)).
-    """
     x = grid.x
-    ell = _concave_majorant(x, levels)
-    g = (ell[2:] - ell[:-2]) / (x[2:] - x[:-2])
-    point = FeasiblePoint(ell=ell, g=g)
+    ell = _concave_majorant(x, raw)
+    point = FeasiblePoint(ell=ell, g=(ell[2:] - ell[:-2]) / (x[2:] - x[:-2]))
+    return FeasiblePoint(ell=ell - chord_cap_shift(grid, system, point), g=point.g)
 
-    cell_mass = linearize_cells(grid, point).l_val
-    log_excess = -math.inf
-    for block in system.blocks:
-        width = 2 ** block.B
-        starts = block.pairs[:, 0] - 1
-        seg = (starts[:, None] + np.arange(width)[None, :]).ravel()
-        sums = cell_mass[seg].reshape(-1, width).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_excess = max(log_excess, np.max(np.log(sums / block.d_B)))
-    if log_excess > 0:
-        return FeasiblePoint(ell=ell - log_excess, g=g)
-    return point
+
+def chord_cap_shift(
+    grid: DesignGrid, system: IntervalSystem, point: FeasiblePoint
+) -> float:
+    """Uniform drop in ell that restores every chord-mass cap exactly.
+
+    Chord masses scale by exp(-delta) when ell shifts down by delta, so
+    the largest log ratio mass/d_B clears every excess and leaves the
+    binding pair tight.  Zero when no cap is exceeded.
+    """
+    sums = system.pair_sums(linearize_cells(grid, point).l_val)
+    rmax = float((sums / system.d).max(initial=0.0))
+    return math.log(rmax) if rmax > 1.0 else 0.0
 
 
 class SubproblemTemplate:
@@ -250,30 +238,8 @@ class SubproblemTemplate:
             ]
         self.n_conc = 2 * (m - 2)
 
-        # flattened cell slots: for each pair, the 0-based cells it spans
-        cells = []
-        pair_of_cell = []
-        pair_sizes = []
-        p = 0
-        for block in system.blocks:
-            width = 2 ** block.B
-            start = block.pairs[:, 0] - 1
-            c = start[:, None] + np.arange(width)[None, :]
-            cells.append(c.ravel())
-            pair_of_cell.append(np.repeat(np.arange(p, p + block.n_B), width))
-            pair_sizes.append(np.full(block.n_B, width))
-            p += block.n_B
-        self.cells = np.concatenate(cells)                  # (C,)
-        self.pair_of_cell = np.concatenate(pair_of_cell)    # (C,)
-        self.pair_sizes = np.concatenate(pair_sizes)        # (P,)
-        self.cd_bounds = np.concatenate(
-            [
-                np.column_stack([np.full(b.n_B, b.c_B), np.full(b.n_B, b.d_B)])
-                for b in system.blocks
-            ]
-        )  # (P, 2)
-
-        C = self.cells.size
+        cells, pair_of_cell = system.cells, system.pair_of_cell
+        C = cells.size
         P = self.n_pairs
         up0 = self.n_conc
         dn1_0 = up0 + P
@@ -281,12 +247,12 @@ class SubproblemTemplate:
         self.n_rows = dn2_0 + P
 
         # UP rows: sum of linearized chord bounds <= d_B
-        up_rows = np.concatenate([up0 + self.pair_of_cell] * 2)
-        up_cols = np.concatenate([self.cells, self.cells + 1])
+        up_rows = np.concatenate([up0 + pair_of_cell] * 2)
+        up_cols = np.concatenate([cells, cells + 1])
 
         # DOWN rows: -(linearized tangent sum) - slack <= -c_B + const
-        dn1_rows = np.concatenate([dn1_0 + self.pair_of_cell] * 2)
-        dn2_rows = np.concatenate([dn2_0 + self.pair_of_cell] * 2)
+        dn1_rows = np.concatenate([dn1_0 + pair_of_cell] * 2)
+        dn2_rows = np.concatenate([dn2_0 + pair_of_cell] * 2)
         slack_cols = 2 * m - 2 + np.arange(P)
 
         self._rows = np.concatenate(
@@ -317,8 +283,8 @@ class SubproblemTemplate:
         from .relax import _anchor_arrays
 
         u_anchor, _, v_anchor, _ = _anchor_arrays(m)
-        ua = u_anchor[self.cells]
-        va = v_anchor[self.cells]
+        ua = u_anchor[cells]
+        va = v_anchor[cells]
         s0 = self._n_conc_entries
         s1 = s0 + 2 * C
         # down1 ell and g columns
@@ -340,11 +306,6 @@ class SubproblemTemplate:
         dx = np.diff(x)
         self._g_gap = np.minimum(dx[:-1], dx[1:])  # local scale per g_i
 
-    def _pair_reduce(self, cell_values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_pairs)
-        np.add.at(out, self.pair_of_cell, cell_values)
-        return out
-
     def instantiate(
         self,
         point: FeasiblePoint,
@@ -365,7 +326,8 @@ class SubproblemTemplate:
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         cells_lin = linearize_cells(self.grid, point)
-        idx = self.cells
+        system = self.system
+        idx = system.cells
         ell0 = point.ell
         g0 = point.g
 
@@ -391,22 +353,21 @@ class SubproblemTemplate:
         data[s2 + C : s2 + 2 * C] = -v_dg
         data[s2 + 2 * C : s2 + 2 * C + P] = -1.0
 
+        # constant terms of the first-order expansions, per cell, then per pair
+        up_const = system.pair_sums(
+            cells_lin.l_val - cells_lin.l_dlo * ell0[:-1] - cells_lin.l_dhi * ell0[1:]
+        )
+        ua, va = cells_lin.u_anchor, cells_lin.v_anchor  # 1-based
+        u_const = system.pair_sums(
+            cells_lin.u_val - cells_lin.u_val * ell0[ua - 1] - cells_lin.u_dg * g0[ua - 2]
+        )
+        v_const = system.pair_sums(
+            cells_lin.v_val - cells_lin.v_val * ell0[va - 1] - cells_lin.v_dg * g0[va - 2]
+        )
         rhs = np.zeros(self.n_rows)
-        ua = self._cols[s1 : s1 + C]  # ell anchor columns, 0-based
-        va = self._cols[s2 : s2 + C]
-        up_const = self._pair_reduce(
-            cells_lin.l_val[idx] - l_dlo * ell0[idx] - l_dhi * ell0[idx + 1]
-        )
-        u_const = self._pair_reduce(
-            u_val - u_val * ell0[ua] - u_dg * g0[self._cols[s1 + C : s1 + 2 * C] - m]
-        )
-        v_const = self._pair_reduce(
-            v_val - v_val * ell0[va] - v_dg * g0[self._cols[s2 + C : s2 + 2 * C] - m]
-        )
-        c_b, d_b = self.cd_bounds[:, 0], self.cd_bounds[:, 1]
-        rhs[self.n_conc : self.n_conc + P] = d_b - up_const
-        rhs[self.n_conc + P : self.n_conc + 2 * P] = -c_b + u_const
-        rhs[self.n_conc + 2 * P :] = -c_b + v_const
+        rhs[self.n_conc : self.n_conc + P] = system.d - up_const
+        rhs[self.n_conc + P : self.n_conc + 2 * P] = -system.c + u_const
+        rhs[self.n_conc + 2 * P :] = -system.c + v_const
 
         mat = sparse.coo_matrix(
             (data, (self._rows, self._cols)), shape=(self.n_rows, self.nvar)
@@ -431,18 +392,6 @@ class SubproblemTemplate:
             lower=lower,
             upper=upper,
         )
-
-    def up_shift(self, point: FeasiblePoint) -> float:
-        """Uniform drop in ell that restores every chord-mass cap exactly.
-
-        Chord masses scale by exp(-delta) when ell shifts down by delta, so
-        the largest log ratio mass/d_B clears every excess and leaves the
-        binding pair tight.  Zero when no cap is exceeded.
-        """
-        cl = linearize_cells(self.grid, point)
-        sums = self._pair_reduce(cl.l_val[self.cells])
-        rmax = float((sums / self.cd_bounds[:, 1]).max(initial=0.0))
-        return math.log(rmax) if rmax > 1.0 else 0.0
 
 
 def run_ccp_point(
@@ -480,13 +429,10 @@ def run_ccp_point(
             final_slack=0.0, worst_violation=0.0, value=value,
         )
         return value, diag
-    value, diag = _penalty_schedule(
-        grid, system, t, sense, cfg, template, shared_basis, STEP_MAX
-    )
+    value, diag = _penalty_schedule(template, t, sense, cfg, shared_basis, STEP_MAX)
     if diag.status == "not_converged" and diag.final_slack > SLACK_TOL:
         value2, diag2 = _penalty_schedule(
-            grid, system, t, sense, cfg, template, shared_basis,
-            STEP_MAX * _RETRY_SHRINK,
+            template, t, sense, cfg, shared_basis, STEP_MAX * _RETRY_SHRINK
         )
         if diag2.status == "converged":
             return value2, replace(
@@ -496,16 +442,15 @@ def run_ccp_point(
 
 
 def _penalty_schedule(
-    grid: DesignGrid,
-    system: IntervalSystem,
+    template: SubproblemTemplate,
     t: int,
     sense: str,
     cfg: CcpConfig,
-    template: SubproblemTemplate,
     shared_basis: BasisState | None,
     step_max: float,
 ) -> tuple[float, PointDiagnostics]:
     """One full pass of the penalty ramp, the settle phase, and the report."""
+    grid, system = template.grid, template.system
     point = initial_point(grid, system, cfg, t, sense)
     basis = shared_basis
     prev_obj = None
@@ -524,7 +469,7 @@ def _penalty_schedule(
             break
         tau = min(TAU0 * KAPPA**k, TAU_MAX)
         point, basis, slack_total, obj, status = _ccp_step(
-            grid, system, template, point, basis, t, sense, tau, step_max
+            template, point, basis, t, sense, tau, step_max
         )
         if status != "ok":
             value = float(point.ell[t - 1])
@@ -559,8 +504,6 @@ def _penalty_schedule(
 
 
 def _ccp_step(
-    grid: DesignGrid,
-    system: IntervalSystem,
     template: SubproblemTemplate,
     point: FeasiblePoint,
     basis: BasisState | None,
@@ -575,7 +518,7 @@ def _ccp_step(
     status; otherwise status is "ok".  A failed warm-started solve is
     retried cold once.
     """
-    m = grid.m
+    m = template.m
     lp = template.instantiate(point, t, sense, tau, step_max=step_max)
     sol = solve_lp(lp, warm=basis)
     if sol.status != "optimal" and basis is not None:
@@ -584,7 +527,7 @@ def _ccp_step(
         return point, basis, math.inf, math.inf, f"lp_{sol.status}"
     candidate = FeasiblePoint(ell=sol.z[:m], g=sol.z[m : 2 * m - 2])
     basis = sol.basis
-    delta = template.up_shift(candidate)
+    delta = chord_cap_shift(template.grid, template.system, candidate)
     if delta > 0.0:
         # a trust step can satisfy the tangent rows yet overshoot a true
         # chord-mass cap; re-linearizing there would put a hard row through

@@ -20,8 +20,7 @@ by the union bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,20 +79,53 @@ class Block:
 
 @dataclass(frozen=True)
 class IntervalSystem:
+    """Pair blocks in depth order, with the flat pair-to-cell layout.
+
+    Pairs are numbered 0..P-1 in depth order.  cells[s] is the 0-based
+    index i-1 of a cell (x_i, x_{i+1}) that pair pair_of_cell[s] spans;
+    each pair's cells are contiguous and ascending.  c and d hold each
+    pair's mass bounds c_B and d_B.
+    """
+
     alpha: float
     B_max: int
     t_n: float
     blocks: tuple[Block, ...]
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_of_cell: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    d: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pairs = np.concatenate([b.pairs for b in self.blocks])
+        width = pairs[:, 1] - pairs[:, 0]
+        pair_of_cell = np.repeat(np.arange(len(pairs)), width)
+        first_slot = np.cumsum(width) - width
+        offset = np.arange(pair_of_cell.size) - first_slot[pair_of_cell]
+        n_B = [b.n_B for b in self.blocks]
+        layout = {
+            "cells": pairs[pair_of_cell, 0] - 1 + offset,
+            "pair_of_cell": pair_of_cell,
+            "c": np.repeat([b.c_B for b in self.blocks], n_B),
+            "d": np.repeat([b.d_B for b in self.blocks], n_B),
+        }
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
     @property
     def pair_count(self) -> int:
-        return sum(b.n_B for b in self.blocks)
+        return self.c.size
 
-    def iter_pairs(self) -> Iterator[tuple[Block, int, int]]:
-        """Yield (block, j, k) over all pairs in depth order."""
-        for block in self.blocks:
-            for j, k in block.pairs:
-                yield block, int(j), int(k)
+    def pair_sums(self, cell_values: np.ndarray) -> np.ndarray:
+        """Per-pair sums of per-cell values (one value per cell, m-1 in all).
+
+        Each pair adds its cells in ascending order starting from 0.0, the
+        order the LP rows use.  No differences are formed, so an inf cell
+        mass gives an inf sum, never NaN.
+        """
+        out = np.zeros(self.c.size)
+        np.add.at(out, self.pair_of_cell, cell_values[self.cells])
+        return out
 
 
 def _depth_cap(n: int, s_n: int) -> int:

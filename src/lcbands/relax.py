@@ -167,23 +167,6 @@ class ConstraintReport:
         return self.worst <= self.eps
 
 
-def _pair_sums(values: np.ndarray, system: IntervalSystem) -> list[np.ndarray]:
-    """Sum of per-cell values over each pair's cells, per block."""
-    if np.isinf(values).any():
-        # prefix differences across an inf cell would give inf - inf
-        return [
-            np.array(
-                [values[j - 1 : k - 1].sum() for j, k in block.pairs], dtype=float
-            )
-            for block in system.blocks
-        ]
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
-    return [
-        prefix[block.pairs[:, 1] - 1] - prefix[block.pairs[:, 0] - 1]
-        for block in system.blocks
-    ]
-
-
 def check_feasible(
     grid: DesignGrid,
     system: IntervalSystem,
@@ -205,15 +188,7 @@ def check_feasible(
     right = ell[2:] - ell[1:-1] - g * (x[2:] - x[1:-1])
     conc = max(0.0, float(left.max()), float(right.max()))
 
-    up = down1 = down2 = 0.0
-    u_sums = _pair_sums(cells.u_val, system)
-    v_sums = _pair_sums(cells.v_val, system)
-    l_sums = _pair_sums(cells.l_val, system)
-    for block, us, vs, ls in zip(system.blocks, u_sums, v_sums, l_sums):
-        down1 = max(down1, float((block.c_B - us).max()))
-        down2 = max(down2, float((block.c_B - vs).max()))
-        up = max(up, float((ls - block.d_B).max()))
-    return ConstraintReport(
-        conc=conc, up=max(0.0, up), down1=max(0.0, down1), down2=max(0.0, down2),
-        eps=eps,
-    )
+    up = float((system.pair_sums(cells.l_val) - system.d).max(initial=0.0))
+    down1 = float((system.c - system.pair_sums(cells.u_val)).max(initial=0.0))
+    down2 = float((system.c - system.pair_sums(cells.v_val)).max(initial=0.0))
+    return ConstraintReport(conc=conc, up=up, down1=down1, down2=down2, eps=eps)

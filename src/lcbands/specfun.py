@@ -27,9 +27,7 @@ import numpy as np
 __all__ = [
     "BetaParams",
     "ConvergenceError",
-    "exp_mean",
     "exp_mean_arr",
-    "exp_mean_deriv",
     "exp_mean_deriv_arr",
     "log_exp_mean_arr",
     "log_exp_mean_deriv_arr",
@@ -52,26 +50,8 @@ class ConvergenceError(RuntimeError):
     """An iterative special-function evaluation failed to converge."""
 
 
-def exp_mean(s: float) -> float:
-    """(exp(s) - 1) / s with the removable singularity at 0 filled in."""
-    s = float(s)
-    if abs(s) > _EXP_MEAN_CUTOFF:
-        return math.expm1(s) / s
-    return 1.0 + s * (0.5 + s * (1.0 / 6.0 + s * (1.0 / 24.0 + s / 120.0)))
-
-
-def exp_mean_deriv(s: float) -> float:
-    """Derivative of exp_mean: (s*exp(s) - exp(s) + 1) / s**2, 1/2 at 0."""
-    s = float(s)
-    if abs(s) > _DERIV_CUTOFF:
-        return (math.expm1(s) * (s - 1.0) + s) / (s * s)
-    return 0.5 + s * (
-        1.0 / 3.0 + s * (0.125 + s * (1.0 / 30.0 + s * (1.0 / 144.0 + s / 840.0)))
-    )
-
-
 def exp_mean_arr(s: np.ndarray) -> np.ndarray:
-    """Vectorized exp_mean."""
+    """exp_mean(s), elementwise."""
     s = np.asarray(s, dtype=float)
     near = np.abs(s) <= _EXP_MEAN_CUTOFF
     safe = np.where(near, 1.0, s)
@@ -81,7 +61,7 @@ def exp_mean_arr(s: np.ndarray) -> np.ndarray:
 
 
 def exp_mean_deriv_arr(s: np.ndarray) -> np.ndarray:
-    """Vectorized exp_mean_deriv."""
+    """exp_mean_deriv(s), elementwise."""
     s = np.asarray(s, dtype=float)
     near = np.abs(s) <= _DERIV_CUTOFF
     safe = np.where(near, 1.0, s)

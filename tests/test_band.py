@@ -198,6 +198,22 @@ def test_mode_and_knot_validation():
         )
 
 
+def test_json_rejects_malformed_band(pipeline_band):
+    # a band read from outside must fail loudly, not evaluate to wrong values
+    good = band_to_json(pipeline_band)
+    for field in ("lo_log", "hi_log", "L", "R", "xbar"):
+        for bad in (good[field][:-1], good[field] + good[field][-1:]):
+            with pytest.raises(ValueError, match=field):
+                band_from_json({**good, field: bad})
+    two_knots = {
+        **good, "knots": good["knots"][:2], "lo_log": good["lo_log"][:2],
+        "hi_log": good["hi_log"][:2], "L": good["L"][:1], "R": good["R"][:1],
+        "xbar": [],
+    }
+    with pytest.raises(TooFewKnots):
+        band_from_json(two_knots)
+
+
 def test_json_round_trip(pipeline_band):
     payload = json.dumps(band_to_json(pipeline_band))
     back = band_from_json(json.loads(payload))

@@ -55,6 +55,30 @@ def gaussian_instance(n, seed, alpha=0.05):
 def test_config_validation():
     with pytest.raises(ValueError):
         CcpConfig(init="warm")
+    for bad in (-1, 2**64, 1.5, "0"):
+        with pytest.raises(ValueError):
+            CcpConfig(init="random", seed=bad)
+    CcpConfig(init="random", seed=2**64 - 1)
+    CcpConfig(init="random", seed=np.uint64(7))
+
+
+def test_sanity_cell_lp_traffic(monkeypatch):
+    # the benchmark's --selftest cell: any change to the solver traffic,
+    # however small, shows here as a different call or pivot count
+    calls = []
+
+    def counting_solve_lp(lp, warm=None):
+        sol = solve_lp(lp, warm)
+        calls.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(ccp, "solve_lp", counting_solve_lp)
+    x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=200)
+    grid = select_design_points(x)
+    system = build_interval_system(grid, 0.1)
+    pointwise_intervals(grid, system, CcpConfig(), np.arange(1, grid.m + 1))
+    assert len(calls) == 1440
+    assert sum(calls) == 13957
 
 
 def test_subproblem_counts_match_design_n100():

@@ -113,10 +113,26 @@ def test_pair_iteration_order_and_count():
     rng = np.random.default_rng(6)
     grid = select_design_points(rng.standard_normal(1000))
     system = build_interval_system(grid, 0.1)
-    triples = list(system.iter_pairs())
-    assert len(triples) == system.pair_count == 124 + 62 + 31 + 15
-    depths = [b.B for b, _, _ in triples]
-    assert depths == sorted(depths)
+    assert system.pair_count == 124 + 62 + 31 + 15 == 232
+    width = np.bincount(system.pair_of_cell)
+    assert width.size == 232
+    assert (np.diff(width) >= 0).all()  # pairs run in depth order
+    assert set(width.tolist()) == {1, 2, 4, 8}
+    assert (np.diff(system.pair_of_cell) >= 0).all()
+    assert system.cells.min() == 0 and system.cells.max() <= grid.m - 2
+
+    pairs = [(j, k) for block in system.blocks for j, k in block.pairs]
+    assert system.c.tolist() == [b.c_B for b in system.blocks for _ in b.pairs]
+    assert system.d.tolist() == [b.d_B for b in system.blocks for _ in b.pairs]
+    v = rng.uniform(0.0, 1.0, grid.m - 1)
+    want = [sum(v[j - 1 : k - 1]) for j, k in pairs]
+    assert system.pair_sums(v).tolist() == want  # exact, the LP rows' order
+
+    v[[5, 100]] = np.inf
+    got = system.pair_sums(v)
+    assert not np.isnan(got).any()
+    hit = [j - 1 <= 5 < k - 1 or j - 1 <= 100 < k - 1 for j, k in pairs]
+    assert (np.isinf(got) == np.array(hit)).all()
 
 
 def test_invalid_alpha():

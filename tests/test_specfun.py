@@ -15,13 +15,12 @@ from scipy import special
 from lcbands.specfun import (
     BetaParams,
     ConvergenceError,
-    exp_mean,
     exp_mean_arr,
-    exp_mean_deriv,
     exp_mean_deriv_arr,
     qbeta,
     reg_inc_beta,
 )
+from specfun_oracle import exp_mean, exp_mean_deriv
 
 # Frozen oracle values.
 I_03_2_3 = 0.3483                     # quadrature, abs err < 4e-15
@@ -31,9 +30,10 @@ DERIV_M1 = 0.26424111765711533        # closed form 1 - 2/e
 
 
 def test_exp_mean_values():
-    assert exp_mean(0.0) == 1.0
-    assert math.isclose(exp_mean(1.0), math.e - 1.0, rel_tol=1e-15)
-    assert math.isclose(exp_mean(math.log(2.0)), 1.0 / math.log(2.0), rel_tol=1e-14)
+    got = exp_mean_arr(np.array([0.0, 1.0, math.log(2.0)]))
+    assert got[0] == 1.0
+    assert math.isclose(got[1], math.e - 1.0, rel_tol=1e-15)
+    assert math.isclose(got[2], 1.0 / math.log(2.0), rel_tol=1e-14)
 
 
 def test_exp_mean_precision_long_double():
@@ -60,9 +60,10 @@ def test_exp_mean_scalar_matches_array():
 
 
 def test_exp_mean_deriv_values():
-    assert exp_mean_deriv(0.0) == 0.5
-    assert math.isclose(exp_mean_deriv(1.0), 1.0, rel_tol=1e-14)
-    assert math.isclose(exp_mean_deriv(-1.0), DERIV_M1, rel_tol=1e-13)
+    got = exp_mean_deriv_arr(np.array([0.0, 1.0, -1.0]))
+    assert got[0] == 0.5
+    assert math.isclose(got[1], 1.0, rel_tol=1e-14)
+    assert math.isclose(got[2], DERIV_M1, rel_tol=1e-13)
 
 
 def test_exp_mean_deriv_matches_central_differences():
@@ -77,14 +78,16 @@ def test_exp_mean_deriv_matches_central_differences():
 
 def test_no_accuracy_cliff_at_taylor_seams():
     # Both branches must agree with a long-double reference on either side
-    # of their switchover points.
+    # of their switchover points, in the array kernels and the scalar oracle.
     for s in (1e-4 * (1 - 1e-9), 1e-4 * (1 + 1e-9), -1e-4 * (1 + 1e-9)):
         sl = np.longdouble(s)
         ref = float(np.expm1(sl) / sl)
+        assert abs(exp_mean_arr(np.array([s]))[0] - ref) <= 1e-15
         assert abs(exp_mean(s) - ref) <= 1e-15
     for s in (1e-2 * (1 - 1e-9), 1e-2 * (1 + 1e-9), -1e-2 * (1 + 1e-9)):
         sl = np.longdouble(s)
         ref = float((np.expm1(sl) * (sl - 1.0) + sl) / (sl * sl))
+        assert abs(exp_mean_deriv_arr(np.array([s]))[0] - ref) <= 5e-14
         assert abs(exp_mean_deriv(s) - ref) <= 5e-14
 
 
