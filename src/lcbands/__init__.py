@@ -19,7 +19,6 @@ from .band import (
     eval_density_band,
     eval_lower,
     eval_upper,
-    eval_upper_interpolated,
 )
 from .ccp import CcpConfig, PointDiagnostics, PointwiseIntervals, pointwise_intervals
 from .design import (
@@ -47,7 +46,6 @@ __all__ = [
     "eval_density_band",
     "eval_lower",
     "eval_upper",
-    "eval_upper_interpolated",
     "band_to_json",
     "band_from_json",
     # errors

@@ -14,12 +14,17 @@ an interior segment the curve therefore sits below both the line leaving
 (x_i, hi_i) with slope L_i and the line arriving at (x_{i+1}, hi_{i+1})
 with slope R_{i+1}; the envelope is their pointwise minimum, switching at
 the crossover point xbar_i.  Edge segments use the single available line.
+
+Both envelopes hold simultaneously with the confidence level of the
+pointwise intervals, so this one band is the only one lcbands builds; a
+serialized band names it as mode "guaranteed".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +37,6 @@ __all__ = [
     "build_band",
     "eval_lower",
     "eval_upper",
-    "eval_upper_interpolated",
     "eval_density_band",
     "band_to_json",
     "band_from_json",
@@ -50,8 +54,11 @@ class ConfidenceBand:
     Entry k-2 of L is the slope bound L_k at knot k = 2..m; entry k-1 of R
     is R_k at knot k = 1..m-1 (knots numbered 1..m).  xbar holds the
     tangent-line crossover for interior segments i = 2..m-2, NaN where the
-    two lines never cross inside the segment.
+    two lines never cross inside the segment.  alpha is NaN when the level
+    is not recorded.
     """
+
+    mode: ClassVar[str] = "guaranteed"
 
     knots: np.ndarray
     lo_log: np.ndarray
@@ -59,13 +66,10 @@ class ConfidenceBand:
     L: np.ndarray
     R: np.ndarray
     xbar: np.ndarray
-    mode: str
     alpha: float
     n: int
 
     def __post_init__(self) -> None:
-        if self.mode not in ("guaranteed", "interpolated-upper"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         m = np.size(self.knots)
         if m < 3:
             raise TooFewKnots(f"need at least 3 knots, got {m}")
@@ -79,14 +83,20 @@ class ConfidenceBand:
                     f"{name} has shape {np.shape(getattr(self, name))}, "
                     f"expected ({size},) for {m} knots"
                 )
+        for name in ("knots", "lo_log", "hi_log", "L", "R"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not (math.isnan(self.alpha) or 0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must be NaN or lie in (0, 1), got {self.alpha}")
 
 
 def build_band(
     grid: DesignGrid,
     intervals: PointwiseIntervals,
-    mode: str = "guaranteed",
     alpha: float = math.nan,
 ) -> ConfidenceBand:
     """Assemble the band from solved pointwise intervals.
@@ -123,7 +133,7 @@ def build_band(
 
     return ConfidenceBand(
         knots=x, lo_log=lo, hi_log=hi, L=L, R=R, xbar=xbar,
-        mode=mode, alpha=float(alpha), n=grid.n,
+        alpha=float(alpha), n=grid.n,
     )
 
 
@@ -159,27 +169,11 @@ def eval_upper(band: ConfidenceBand, x) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def eval_upper_interpolated(band: ConfidenceBand, x) -> float | np.ndarray:
-    """Density-scale upper: interpolate exp(hi) between knots, guaranteed tails.
-
-    Inside the knot range this is the smoother display variant without a
-    finite-sample guarantee; outside it falls back to the guaranteed lines.
-    """
-    xq, scalar = _as_query(x)
-    inner = np.interp(xq, band.knots, np.exp(band.hi_log))
-    outside = (xq < band.knots[0]) | (xq > band.knots[-1])
-    out = np.where(outside, np.exp(eval_upper(band, xq)), inner)
-    return float(out[0]) if scalar else out
-
-
 def eval_density_band(band: ConfidenceBand, x) -> tuple:
-    """Density-scale (lower, upper) per the band's mode; lower <= upper."""
+    """Density-scale (lower, upper); lower <= upper."""
     xq, scalar = _as_query(x)
     lower = np.exp(eval_lower(band, xq))
-    if band.mode == "interpolated-upper":
-        upper = eval_upper_interpolated(band, xq)
-    else:
-        upper = np.exp(eval_upper(band, xq))
+    upper = np.exp(eval_upper(band, xq))
     if scalar:
         return float(lower[0]), float(upper[0])
     return lower, upper
@@ -205,6 +199,9 @@ def band_to_json(band: ConfidenceBand) -> dict:
 
 
 def band_from_json(obj: dict) -> ConfidenceBand:
+    """Inverse of band_to_json; rejects any band that is not a guaranteed one."""
+    if obj["mode"] != ConfidenceBand.mode:
+        raise ValueError(f"unknown band mode {obj['mode']!r}")
     xbar = np.array(
         [math.nan if v is None else float(v) for v in obj["xbar"]], dtype=float
     )
@@ -216,7 +213,6 @@ def band_from_json(obj: dict) -> ConfidenceBand:
         L=np.asarray(obj["L"], dtype=float),
         R=np.asarray(obj["R"], dtype=float),
         xbar=xbar,
-        mode=obj["mode"],
         alpha=math.nan if alpha is None else float(alpha),
-        n=int(obj["n"]),
+        n=obj["n"],
     )

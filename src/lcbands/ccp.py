@@ -552,11 +552,14 @@ def pointwise_intervals(
     constraints, so the basis from one cold solve seeds all the others.
     Per-point runs share no mutable state and are order-independent.
     """
-    subset = np.unique(np.asarray(subset, dtype=int))
-    if subset.size == 0:
+    raw = np.asarray(subset)
+    if raw.size == 0:
         raise ValueError("subset must be nonempty")
-    if subset[0] < 1 or subset[-1] > grid.m:
+    if not np.all(raw == np.round(raw)):  # NaN fails here too
+        raise ValueError(f"subset indices must be integers, got {raw.tolist()}")
+    if raw.min() < 1 or raw.max() > grid.m:
         raise ValueError(f"subset indices outside 1..{grid.m}")
+    subset = np.unique(raw.astype(int))
     template = SubproblemTemplate(grid, system)
 
     shared: BasisState | None = None

@@ -2,8 +2,11 @@
 
 Samples from four textbook densities, runs the full pipeline once per
 repetition, and aggregates empirical coverage, band widths at the sample
-quartiles, and runtimes. Every repetition draws from its own
-counter-based substream.
+quartiles, and runtimes. Each repetition solves every design point and
+scores the guaranteed band, the one whose simultaneous coverage the
+method certifies, against the true density on GRID_POINTS points spread
+over the data range. Every repetition draws from its own counter-based
+substream.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ __all__ = [
     "StudyReport",
     "sample",
     "true_density",
-    "evenly_spread_subset",
     "run_study",
     "report_to_json",
     "format_table",
 ]
 
 DISTRIBUTIONS = ("gaussian", "uniform", "chisq", "gamma")
+
+GRID_POINTS = 10000  # points on which each repetition checks coverage
 
 _LABELS = {
     "gaussian": "Gaussian",
@@ -47,31 +51,27 @@ class StudySpec:
 
     distribution is one of DISTRIBUTIONS; uniform means Uniform(-10,10),
     chisq has 3 degrees of freedom, and gamma has unit shape and scale.
-    grid_points controls how finely coverage is checked across the range
-    of each repetition's data.
+    Repetition r draws from Philox(key=[seed, r]).
     """
 
     distribution: str
     n: int
     reps: int
     alpha: float = 0.1
-    subset_frac: float = 0.3
     seed: int = 0
-    grid_points: int = 10000
 
     def __post_init__(self) -> None:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
+            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.subset_frac <= 1.0:
-            raise ValueError("subset_frac must lie in (0, 1]")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
+        # the seed keys a Philox stream, which takes unsigned 64-bit words
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -123,40 +123,27 @@ def true_density(distribution: str, x) -> np.ndarray:
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-def evenly_spread_subset(m: int, subset_frac: float) -> list[int]:
-    """Evenly spread 1-based design-point indices, keeping both ends.
-
-    The band construction needs several knots, so the subset never has
-    fewer than four points (or m, when m itself is smaller).
-    """
-    size = min(m, max(4, math.ceil(subset_frac * m)))
-    idx = np.unique(np.rint(np.linspace(1, m, size)).astype(int))
-    return [int(i) for i in idx]
-
-
 def _run_rep(spec: StudySpec, rep: int) -> tuple[bool, np.ndarray | None, float]:
     """One repetition: sample, fit, then score coverage and widths.
 
     Returns (covered, quartile widths or None on failure, runtime). The
     runtime covers the pipeline through band construction; scoring
-    against the true density is excluded. Scoring uses the interpolated
-    upper surface: with a sparse solved subset the raw tangent envelope
-    balloons between distant knots, while the interpolated surface stays
-    close to the full-set band and keeps certified tails.
+    against the true density is excluded.
     """
     rng = np.random.default_rng(np.random.Philox(key=[spec.seed, rep]))
     data = sample(spec.distribution, spec.n, rng)
     start = time.perf_counter()
     grid = select_design_points(data)
     system = build_interval_system(grid, spec.alpha)
-    subset = evenly_spread_subset(grid.m, spec.subset_frac)
-    intervals = pointwise_intervals(grid, system, CcpConfig(), subset)
+    intervals = pointwise_intervals(
+        grid, system, CcpConfig(), np.arange(1, grid.m + 1)
+    )
     if not intervals.all_converged:
         return False, None, time.perf_counter() - start
-    band = build_band(grid, intervals, mode="interpolated-upper", alpha=spec.alpha)
+    band = build_band(grid, intervals, alpha=spec.alpha)
     runtime = time.perf_counter() - start
 
-    ts = np.linspace(data.min(), data.max(), spec.grid_points)
+    ts = np.linspace(data.min(), data.max(), GRID_POINTS)
     lo_d, hi_d = eval_density_band(band, ts)
     f = true_density(spec.distribution, ts)
     covered = bool(np.all((lo_d <= f) & (f <= hi_d)))
@@ -196,9 +183,7 @@ def report_to_json(spec: StudySpec, report: StudyReport) -> dict:
             "n": spec.n,
             "reps": spec.reps,
             "alpha": spec.alpha,
-            "subset_frac": spec.subset_frac,
             "seed": spec.seed,
-            "grid_points": spec.grid_points,
         },
         "coverage": report.coverage,
         "width_q1": _none_if_nan(report.width_q1),

@@ -20,13 +20,12 @@ from lcbands.band import (
     eval_density_band,
     eval_lower,
     eval_upper,
-    eval_upper_interpolated,
 )
 from lcbands.ccp import CcpConfig, PointwiseIntervals, pointwise_intervals
 from lcbands.design import DesignGrid, build_interval_system, select_design_points
 
 
-def toy_band(x, lo, hi, mode="guaranteed"):
+def toy_band(x, lo, hi):
     x = np.asarray(x, dtype=float)
     grid = DesignGrid(n=60, s_n=2, spacing=10, m=x.size, b_max=0, x=x)
     iv = PointwiseIntervals(
@@ -35,7 +34,7 @@ def toy_band(x, lo, hi, mode="guaranteed"):
         hi=np.asarray(hi, dtype=float),
         diagnostics=(),
     )
-    return build_band(grid, iv, mode=mode)
+    return build_band(grid, iv)
 
 
 @pytest.fixture(scope="module")
@@ -153,48 +152,19 @@ def test_containment_oracle():
         assert np.all(phi(xs) <= eval_upper(band, xs) + 1e-9)
 
 
-def test_interpolated_upper_values():
-    band = toy_band(
-        [0.0, 1.0, 2.0, 3.0],
-        [-3.0] * 4,
-        [math.log(0.2), math.log(0.4), math.log(0.4), math.log(0.2)],
-        mode="interpolated-upper",
-    )
-    assert abs(eval_upper_interpolated(band, 0.5) - 0.3) <= 1e-15
-    for xi, hi in zip(band.knots, band.hi_log):
-        assert abs(eval_upper_interpolated(band, xi) - math.exp(hi)) <= 1e-15
-    lo_d, hi_d = eval_density_band(band, 0.5)
-    assert hi_d == eval_upper_interpolated(band, 0.5)
-    assert lo_d <= hi_d
-
-
-def test_interpolated_upper_sanity_bound(pipeline_band):
-    band = ConfidenceBand(
-        knots=pipeline_band.knots, lo_log=pipeline_band.lo_log,
-        hi_log=pipeline_band.hi_log, L=pipeline_band.L, R=pipeline_band.R,
-        xbar=pipeline_band.xbar, mode="interpolated-upper",
-        alpha=pipeline_band.alpha, n=pipeline_band.n,
-    )
-    xs = np.linspace(band.knots[0], band.knots[-1], 1500)
-    seg = np.clip(np.searchsorted(band.knots, xs, side="right"), 1, 12)
-    ends = np.maximum(
-        np.exp(eval_upper(band, band.knots[seg - 1])),
-        np.exp(eval_upper(band, band.knots[seg])),
-    )
-    got = eval_upper_interpolated(band, xs)
-    assert np.all(got <= ends + 1e-12)
-    lo_d, hi_d = eval_density_band(band, xs)
-    assert np.all(lo_d <= hi_d + 1e-12)
-
-
-def test_mode_and_knot_validation():
-    with pytest.raises(ValueError):
-        toy_band([0.0, 1.0, 2.0], [0.0] * 3, [1.0] * 3, mode="smooth")
+def test_mode_and_knot_validation(pipeline_band):
+    # a band of another mode carries no guarantee and must not load as one
+    assert pipeline_band.mode == "guaranteed"
+    good = band_to_json(pipeline_band)
+    assert good["mode"] == "guaranteed"
+    for mode in ("interpolated-upper", "smooth"):
+        with pytest.raises(ValueError, match="mode"):
+            band_from_json({**good, "mode": mode})
     with pytest.raises(ValueError):
         ConfidenceBand(
             knots=np.array([0.0, 0.0, 1.0]), lo_log=np.zeros(3),
             hi_log=np.ones(3), L=np.zeros(2), R=np.zeros(2),
-            xbar=np.empty(0), mode="guaranteed", alpha=0.1, n=10,
+            xbar=np.empty(0), alpha=0.1, n=10,
         )
 
 
@@ -212,6 +182,20 @@ def test_json_rejects_malformed_band(pipeline_band):
     }
     with pytest.raises(TooFewKnots):
         band_from_json(two_knots)
+    for field in ("knots", "lo_log", "hi_log", "L", "R"):
+        for v in (math.nan, math.inf, -math.inf):
+            values = list(good[field])
+            values[1] = v
+            with pytest.raises(ValueError, match=field):
+                band_from_json({**good, field: values})
+    for n in (-5, 0, 100.5, "100"):
+        with pytest.raises(ValueError, match="n must"):
+            band_from_json({**good, "n": n})
+    for alpha in (7.0, 1.0, 0.0, -0.1, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            band_from_json({**good, "alpha": alpha})
+    # an unrecorded level and never-crossing tangents are legal
+    band_from_json({**good, "alpha": None, "xbar": [None] * len(good["xbar"])})
 
 
 def test_json_round_trip(pipeline_band):

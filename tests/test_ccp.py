@@ -234,6 +234,10 @@ def test_subset_validation():
         pointwise_intervals(grid, system, CcpConfig(), [0, 3])
     with pytest.raises(ValueError):
         pointwise_intervals(grid, system, CcpConfig(), [14])
+    # a fractional index must not be truncated onto a neighbouring knot
+    for bad in ([1.9, 5.5, 9.99], [1, 2.5], [3, float("nan")]):
+        with pytest.raises(ValueError, match="integers"):
+            pointwise_intervals(grid, system, CcpConfig(), bad)
 
 
 def test_point_validation():

@@ -9,8 +9,10 @@ import pytest
 
 import lcbands
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+LAYERTRACE = ROOT / "bench" / "layertrace.py"
+README = ROOT / "README.md"
 
 
 def _load_layertrace():
@@ -26,6 +28,15 @@ layertrace = _load_layertrace()
 def test_all_names_resolve():
     for name in lcbands.__all__:
         assert hasattr(lcbands, name), name
+
+
+def test_readme_quickstart_runs():
+    # the first python block of the README is the quickstart; it must run
+    # as written against the installed surface
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start : text.index("```", start)]
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_quickstart"})
 
 
 def test_console_scripts_import():
