@@ -36,7 +36,7 @@ from scipy import sparse
 
 from .design import DesignGrid, IntervalSystem
 from .lpsolve import BasisState, LinearProgram, solve_lp
-from .relax import FeasiblePoint, check_feasible, linearize_cells
+from .relax import CellLinearization, FeasiblePoint, check_feasible, linearize_cells
 
 __all__ = [
     "CcpConfig",
@@ -186,19 +186,19 @@ def initial_point(
     x = grid.x
     ell = _concave_majorant(x, raw)
     point = FeasiblePoint(ell=ell, g=(ell[2:] - ell[:-2]) / (x[2:] - x[:-2]))
-    return FeasiblePoint(ell=ell - chord_cap_shift(grid, system, point), g=point.g)
+    delta = chord_cap_shift(system, linearize_cells(grid, point))
+    return FeasiblePoint(ell=ell - delta, g=point.g)
 
 
-def chord_cap_shift(
-    grid: DesignGrid, system: IntervalSystem, point: FeasiblePoint
-) -> float:
+def chord_cap_shift(system: IntervalSystem, cells: CellLinearization) -> float:
     """Uniform drop in ell that restores every chord-mass cap exactly.
 
-    Chord masses scale by exp(-delta) when ell shifts down by delta, so
-    the largest log ratio mass/d_B clears every excess and leaves the
-    binding pair tight.  Zero when no cap is exceeded.
+    cells is the linearization at the point to be shifted.  Chord masses
+    scale by exp(-delta) when ell shifts down by delta, so the largest log
+    ratio mass/d_B clears every excess and leaves the binding pair tight.
+    Zero when no cap is exceeded.
     """
-    sums = system.pair_sums(linearize_cells(grid, point).l_val)
+    sums = system.pair_sums(cells.l_val)
     rmax = float((sums / system.d).max(initial=0.0))
     return math.log(rmax) if rmax > 1.0 else 0.0
 
@@ -313,19 +313,21 @@ class SubproblemTemplate:
         sense: str,
         tau: float,
         step_max: float = math.inf,
+        cells: CellLinearization | None = None,
     ) -> LinearProgram:
         """Linear program linearized at point.
 
         A finite step_max intersects the variable box with a trust region
         of that radius around the linearization point (g radii scaled by
-        the local knot gap); the point itself always stays feasible.
+        the local knot gap); the point itself always stays feasible.  cells,
+        when given, is linearize_cells at point, already computed.
         """
         m = self.m
         if not 1 <= t <= m:
             raise ValueError(f"t={t} outside 1..{m}")
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        cells_lin = linearize_cells(self.grid, point)
+        cells_lin = linearize_cells(self.grid, point) if cells is None else cells
         system = self.system
         idx = system.cells
         ell0 = point.ell
@@ -452,6 +454,7 @@ def _penalty_schedule(
     """One full pass of the penalty ramp, the settle phase, and the report."""
     grid, system = template.grid, template.system
     point = initial_point(grid, system, cfg, t, sense)
+    cells = None
     basis = shared_basis
     prev_obj = None
     stopped = False
@@ -468,8 +471,8 @@ def _penalty_schedule(
         if k > K_MAX and slack_total > SLACK_TOL:
             break
         tau = min(TAU0 * KAPPA**k, TAU_MAX)
-        point, basis, slack_total, obj, status = _ccp_step(
-            template, point, basis, t, sense, tau, step_max
+        point, cells, basis, slack_total, obj, status = _ccp_step(
+            template, point, cells, basis, t, sense, tau, step_max
         )
         if status != "ok":
             value = float(point.ell[t - 1])
@@ -506,38 +509,47 @@ def _penalty_schedule(
 def _ccp_step(
     template: SubproblemTemplate,
     point: FeasiblePoint,
+    cells: CellLinearization | None,
     basis: BasisState | None,
     t: int,
     sense: str,
     tau: float,
     step_max: float,
-) -> tuple[FeasiblePoint, BasisState | None, float, float, str]:
-    """One linearize-and-solve step; returns (point, basis, slack, obj, status).
+) -> tuple[
+    FeasiblePoint, CellLinearization | None, BasisState | None, float, float, str
+]:
+    """One linearize-and-solve step.
 
-    On LP failure the incoming point is returned unchanged with the failure
-    status; otherwise status is "ok".  A failed warm-started solve is
-    retried cold once.
+    Returns (point, cells, basis, slack, obj, status), where cells is the
+    linearization at the returned point when one is at hand (else None) and
+    is passed back in with that point.  On LP failure the incoming point is
+    returned unchanged with the failure status; otherwise status is "ok".
+    A failed warm-started solve is retried cold once.
     """
     m = template.m
-    lp = template.instantiate(point, t, sense, tau, step_max=step_max)
+    lp = template.instantiate(point, t, sense, tau, step_max=step_max, cells=cells)
     sol = solve_lp(lp, warm=basis)
     if sol.status != "optimal" and basis is not None:
         sol = solve_lp(lp)
     if sol.status != "optimal":
-        return point, basis, math.inf, math.inf, f"lp_{sol.status}"
+        return point, cells, basis, math.inf, math.inf, f"lp_{sol.status}"
     candidate = FeasiblePoint(ell=sol.z[:m], g=sol.z[m : 2 * m - 2])
     basis = sol.basis
-    delta = chord_cap_shift(template.grid, template.system, candidate)
+    cells = linearize_cells(template.grid, candidate)
+    delta = chord_cap_shift(template.system, cells)
     if delta > 0.0:
         # a trust step can satisfy the tangent rows yet overshoot a true
         # chord-mass cap; re-linearizing there would put a hard row through
         # an infeasible center.  Dropping the whole curve by the excess
         # restores every cap (concavity is shift-invariant), so each center
-        # stays hard-feasible and the program stays solvable.
+        # stays hard-feasible and the program stays solvable.  The shifted
+        # point is linearized afresh: exp(a - delta) is not bitwise
+        # exp(a) * exp(-delta).
         candidate = FeasiblePoint(ell=candidate.ell - delta, g=candidate.g)
+        cells = None
     slack_total = float(sol.z[2 * m - 2 :].sum())
     obj = float(sol.objective_value)
-    return candidate, basis, slack_total, obj, "ok"
+    return candidate, cells, basis, slack_total, obj, "ok"
 
 
 def pointwise_intervals(
@@ -553,6 +565,8 @@ def pointwise_intervals(
     Per-point runs share no mutable state and are order-independent.
     """
     raw = np.asarray(subset)
+    if raw.ndim != 1:
+        raise ValueError(f"subset must be one-dimensional, got shape {raw.shape}")
     if raw.size == 0:
         raise ValueError("subset must be nonempty")
     if not np.all(raw == np.round(raw)):  # NaN fails here too

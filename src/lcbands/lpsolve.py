@@ -11,6 +11,14 @@ refactorized every few dozen pivots and product-form eta updates cover the
 pivots in between.  Pricing is full Dantzig with a switch to Bland's rule
 after a run of degenerate pivots, which guarantees termination.
 
+Each solve builds its column matrix once, as raw CSC arrays: those of
+rows.tocsc() followed by one +1 entry per slack column and one -1 entry per
+artificial column.  The transpose that prices every column is built once
+with it.  Entering columns are scattered from their indptr slice into a
+dense vector (adding into zeros, so a stored -0.0 reads as +0.0), and each
+refactorization hands SuperLU a basis matrix gathered from the same arrays,
+so no scipy.sparse slicing runs between pivots.
+
 Solutions carry the basis so a caller solving a drifting sequence of
 structurally identical programs can warm-start.  A warm basis whose basic
 point violates the new bounds is repaired in place: the violated bounds are
@@ -123,9 +131,21 @@ class _Simplex:
 
         # columns: structural | slack identity | artificial slots (-identity,
         # activated per negative-residual row during phase 1)
-        eye = sparse.identity(r, format="csc")
-        self.cols = sparse.hstack([lp.rows.tocsc(), eye, -eye], format="csc")
         self.ncols = n + 2 * r
+        a = lp.rows.tocsc()
+        idx = np.arange(r, dtype=a.indices.dtype)
+        self.cols = sparse.csc_matrix(
+            (
+                np.concatenate([a.data, np.ones(r), -np.ones(r)]),
+                np.concatenate([a.indices, idx, idx]),
+                np.concatenate([a.indptr, a.nnz + 1 + np.arange(2 * r)]),
+            ),
+            shape=(r, self.ncols),
+        )
+        self.data, self.indices, self.indptr = (
+            self.cols.data, self.cols.indices, self.cols.indptr
+        )
+        self.cols_t = self.cols.T
         self.lower = np.concatenate([lp.lower, np.zeros(r), np.zeros(r)])
         self.upper = np.concatenate([lp.upper, np.full(r, np.inf), np.zeros(r)])
         self.cost = np.zeros(self.ncols)
@@ -145,9 +165,27 @@ class _Simplex:
 
     # -- factorization ---------------------------------------------------
 
+    def _column(self, q: int) -> np.ndarray:
+        """cols[:, q] as a dense vector."""
+        lo, hi = self.indptr[q], self.indptr[q + 1]
+        col = np.zeros(self.r)
+        col[self.indices[lo:hi]] += self.data[lo:hi]
+        return col
+
+    def _basis_matrix(self) -> sparse.csc_matrix:
+        """cols[:, basis] from the raw arrays, entry for entry."""
+        start = self.indptr[self.basis]
+        counts = self.indptr[self.basis + 1] - start
+        ptr = np.zeros(self.r + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts, out=ptr[1:])
+        pos = np.repeat(start - ptr[:-1], counts) + np.arange(ptr[-1])
+        return sparse.csc_matrix(
+            (self.data[pos], self.indices[pos], ptr), shape=(self.r, self.r)
+        )
+
     def _refactor(self) -> bool:
         try:
-            self.lu = splu(self.cols[:, self.basis].tocsc())
+            self.lu = splu(self._basis_matrix())
         except RuntimeError:
             return False
         self.etas = []
@@ -324,7 +362,7 @@ class _Simplex:
 
     def _reduced_costs(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self._btran(cost[self.basis])
-        rc = cost - self.cols.T @ y
+        rc = cost - self.cols_t @ y
         return rc, y
 
     def _choose_entering(self, rc: np.ndarray, bland: bool) -> tuple[int, float] | None:
@@ -432,7 +470,7 @@ class _Simplex:
             if choice is None:
                 return "optimal"
             q, sigma = choice
-            d = self._ftran(np.asarray(self.cols[:, q].todense()).ravel())
+            d = self._ftran(self._column(q))
             theta, r_leave = self._ratio_test(q, sigma, d, bland)
             if not np.isfinite(theta):
                 return "unbounded"
@@ -471,14 +509,14 @@ class _Simplex:
             ei = np.zeros(r)
             ei[rpos] = 1.0
             wr = self._btran(ei)
-            alpha = self.cols.T @ wr
+            alpha = self.cols_t @ wr
             candidates = ~self.in_basis & (np.abs(alpha) > 1e-7)
             candidates[n + r :] = False
             idx = np.flatnonzero(candidates)
             if idx.size == 0:
                 continue  # redundant row; artificial stays pinned at zero
             q = int(idx[0])
-            d = self._ftran(np.asarray(self.cols[:, q].todense()).ravel())
+            d = self._ftran(self._column(q))
             art = int(self.basis[rpos])
             self.in_basis[art] = False
             self.nb_state[art] = _AT_LOWER
@@ -520,6 +558,9 @@ class _Simplex:
         x = self._nonbasic_values()
         x[self.basis] = self.x_basic
         z = x[:n]
+        # audit on the caller's rows, not the CSC copy: the order in which
+        # rows @ z sums can tip a borderline audit, and with it which solves
+        # are retried in safe mode
         row_resid = (self.lp.rows @ z) - self.lp.rhs
         scale = max(1.0, float(np.abs(self.lp.rhs).max(initial=0.0)))
         if (

@@ -31,7 +31,7 @@ from lcbands.design import (
     select_design_points,
 )
 from lcbands.lpsolve import solve_lp
-from lcbands.relax import FeasiblePoint, check_feasible
+from lcbands.relax import FeasiblePoint, check_feasible, linearize_cells
 
 
 def toy_grid(x) -> DesignGrid:
@@ -66,19 +66,28 @@ def test_sanity_cell_lp_traffic(monkeypatch):
     # the benchmark's --selftest cell: any change to the solver traffic,
     # however small, shows here as a different call or pivot count
     calls = []
+    linearizations = []
 
     def counting_solve_lp(lp, warm=None):
         sol = solve_lp(lp, warm)
         calls.append(sol.iterations)
         return sol
 
+    def counting_linearize_cells(grid, point):
+        linearizations.append(None)
+        return linearize_cells(grid, point)
+
     monkeypatch.setattr(ccp, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(ccp, "linearize_cells", counting_linearize_cells)
     x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=200)
     grid = select_design_points(x)
     system = build_interval_system(grid, 0.1)
     pointwise_intervals(grid, system, CcpConfig(), np.arange(1, grid.m + 1))
     assert len(calls) == 1440
     assert sum(calls) == 13957
+    # each initial point and each solved iterate is linearized once for
+    # chord_cap_shift; the next program linearizes again only after a shift
+    assert len(linearizations) == 2245
 
 
 def test_subproblem_counts_match_design_n100():
@@ -238,6 +247,12 @@ def test_subset_validation():
     for bad in ([1.9, 5.5, 9.99], [1, 2.5], [3, float("nan")]):
         with pytest.raises(ValueError, match="integers"):
             pointwise_intervals(grid, system, CcpConfig(), bad)
+    # a nested or scalar subset must not be flattened onto its entries
+    for bad in ([[1, 2]], np.array(3)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            pointwise_intervals(grid, system, CcpConfig(), bad)
+    for good in (range(5, 6), np.array([5])):
+        assert pointwise_intervals(grid, system, CcpConfig(), good).indices == (5,)
 
 
 def test_point_validation():

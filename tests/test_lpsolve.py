@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from lcbands.lpsolve import BasisState, LinearProgram, LpSolution, solve_lp
+from lcbands import ccp
+from lcbands.design import build_interval_system, select_design_points
+from lcbands.lpsolve import BasisState, LinearProgram, LpSolution, _Simplex, solve_lp
 from lp_oracle import brute_force_min
 
 
@@ -287,3 +289,54 @@ def test_validation_errors():
                 upper=np.full(1, np.inf),
             )
         )
+
+
+def test_column_and_basis_match_scipy_slicing():
+    # the simplex reads columns and basis matrices straight from its CSC
+    # arrays; both must equal what scipy.sparse slicing of the stacked
+    # [rows | I | -I] matrix gives, down to the sign of a stored zero
+    x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=100)
+    grid = select_design_points(x)
+    system = build_interval_system(grid, 0.1)
+    point = ccp.initial_point(grid, system, ccp.CcpConfig())
+    template_lp = ccp.SubproblemTemplate(grid, system).instantiate(
+        point, 3, "min", 1.0, step_max=ccp.STEP_MAX
+    )
+    hand_rows = sparse.coo_matrix(
+        ([1.0, -0.0, 2.0, -1.5], ([0, 0, 1, 1], [0, 1, 1, 2])), shape=(2, 3)
+    )
+    hand_lp = LinearProgram(
+        objective=np.ones(3), rows=hand_rows, rhs=np.ones(2),
+        lower=np.zeros(3), upper=np.full(3, np.inf),
+    )
+    rng = np.random.default_rng(47)
+    for lp in (template_lp, hand_lp):
+        simplex = _Simplex(lp)
+        r = lp.num_rows
+        eye = sparse.identity(r, format="csc")
+        stacked = sparse.hstack([lp.rows.tocsc(), eye, -eye], format="csc")
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(simplex.cols, name), getattr(stacked, name)
+            )
+        for q in range(simplex.ncols):
+            got = simplex._column(q)
+            want = stacked[:, q].toarray().ravel()
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        simplex.start_cold()
+        bases = [simplex.basis.copy()] + [
+            rng.choice(simplex.ncols, size=r, replace=False) for _ in range(20)
+        ]
+        for basis in bases:
+            simplex.basis = basis
+            got = simplex._basis_matrix()
+            want = stacked[:, basis].tocsc()
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    # the hand program really stores a negative zero, and reads it as +0.0
+    hand = _Simplex(hand_lp)
+    stored_zero = hand.cols.data[hand.cols.data == 0.0]
+    assert stored_zero.size == 1 and np.signbit(stored_zero[0])
+    assert not np.signbit(hand._column(1)).any()
