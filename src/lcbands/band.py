@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .ccp import PointwiseIntervals
-from .design import DesignGrid
+from .design import DesignGrid, _is_integer
 
 __all__ = [
     "TooFewKnots",
@@ -88,7 +88,7 @@ class ConfidenceBand:
                 raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (math.isnan(self.alpha) or 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be NaN or lie in (0, 1), got {self.alpha}")

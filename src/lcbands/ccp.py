@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .design import DesignGrid, IntervalSystem
+from .design import DesignGrid, IntervalSystem, _is_integer
 from .lpsolve import BasisState, LinearProgram, solve_lp
 from .relax import CellLinearization, FeasiblePoint, check_feasible, linearize_cells
 
@@ -75,9 +75,6 @@ STEP_MAX = 0.25
 # slack-clean but the stopping criterion is still drifting
 _SETTLE_LIMIT = 100
 
-# trust-region shrink factor for the retry after a slack-dirty failure
-_RETRY_SHRINK = 0.4
-
 LOG_BOX_HALFWIDTH = 25.0
 
 
@@ -98,7 +95,7 @@ class CcpConfig:
         if self.init not in ("data", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         # the seed keys a Philox stream, which takes unsigned 64-bit words
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
@@ -312,15 +309,14 @@ class SubproblemTemplate:
         t: int,
         sense: str,
         tau: float,
-        step_max: float = math.inf,
         cells: CellLinearization | None = None,
     ) -> LinearProgram:
         """Linear program linearized at point.
 
-        A finite step_max intersects the variable box with a trust region
-        of that radius around the linearization point (g radii scaled by
-        the local knot gap); the point itself always stays feasible.  cells,
-        when given, is linearize_cells at point, already computed.
+        The variable box is intersected with the STEP_MAX trust region
+        around the linearization point (g radii scaled by the local knot
+        gap); the point itself always stays feasible.  cells, when given,
+        is linearize_cells at point, already computed.
         """
         m = self.m
         if not 1 <= t <= m:
@@ -377,16 +373,14 @@ class SubproblemTemplate:
         objective = np.zeros(self.nvar)
         objective[t - 1] = 1.0 if sense == "min" else -1.0
         objective[2 * m - 2 :] = tau
-        lower, upper = self.lower, self.upper
-        if math.isfinite(step_max):
-            lower = lower.copy()
-            upper = upper.copy()
-            # intersect with the trust region, never excluding the center
-            lower[:m] = np.minimum(np.maximum(lower[:m], ell0 - step_max), ell0)
-            upper[:m] = np.maximum(np.minimum(upper[:m], ell0 + step_max), ell0)
-            g_rad = step_max / self._g_gap
-            lower[m : 2 * m - 2] = g0 - g_rad
-            upper[m : 2 * m - 2] = g0 + g_rad
+        # intersect the box with the trust region, never excluding the center
+        lower = self.lower.copy()
+        upper = self.upper.copy()
+        lower[:m] = np.minimum(np.maximum(lower[:m], ell0 - STEP_MAX), ell0)
+        upper[:m] = np.maximum(np.minimum(upper[:m], ell0 + STEP_MAX), ell0)
+        g_rad = STEP_MAX / self._g_gap
+        lower[m : 2 * m - 2] = g0 - g_rad
+        upper[m : 2 * m - 2] = g0 + g_rad
         return LinearProgram(
             objective=objective,
             rows=mat,
@@ -410,11 +404,9 @@ def run_ccp_point(
 
     Returns the extremal ell_t value of the final iterate plus diagnostics.
     The optional shared_basis seeds the first solve; later iterations warm
-    start from their predecessor's basis.  A run that ends with dirty slack
-    is retried once under a tighter trust region: a slack plateau means the
-    iterate outran the penalty ramp into territory where the tangent
-    coefficients are too small to transmit the penalty, and a slower
-    descent lets the ramp catch up before the gradients collapse.
+    start from their predecessor's basis, and a failed warm-started solve
+    is retried cold once.  An LP that still fails ends the run at the
+    incoming point with status lp_<status>.
     """
     if template is None:
         template = SubproblemTemplate(grid, system)
@@ -431,33 +423,11 @@ def run_ccp_point(
             final_slack=0.0, worst_violation=0.0, value=value,
         )
         return value, diag
-    value, diag = _penalty_schedule(template, t, sense, cfg, shared_basis, STEP_MAX)
-    if diag.status == "not_converged" and diag.final_slack > SLACK_TOL:
-        value2, diag2 = _penalty_schedule(
-            template, t, sense, cfg, shared_basis, STEP_MAX * _RETRY_SHRINK
-        )
-        if diag2.status == "converged":
-            return value2, replace(
-                diag2, iterations=diag.iterations + diag2.iterations
-            )
-    return value, diag
-
-
-def _penalty_schedule(
-    template: SubproblemTemplate,
-    t: int,
-    sense: str,
-    cfg: CcpConfig,
-    shared_basis: BasisState | None,
-    step_max: float,
-) -> tuple[float, PointDiagnostics]:
-    """One full pass of the penalty ramp, the settle phase, and the report."""
-    grid, system = template.grid, template.system
     point = initial_point(grid, system, cfg, t, sense)
-    cells = None
+    cells = None  # linearize_cells at point, when at hand
     basis = shared_basis
     prev_obj = None
-    stopped = False
+    converged = False
     slack_total = math.inf
     iterations = 0
 
@@ -471,85 +441,56 @@ def _penalty_schedule(
         if k > K_MAX and slack_total > SLACK_TOL:
             break
         tau = min(TAU0 * KAPPA**k, TAU_MAX)
-        point, cells, basis, slack_total, obj, status = _ccp_step(
-            template, point, cells, basis, t, sense, tau, step_max
-        )
-        if status != "ok":
+        lp = template.instantiate(point, t, sense, tau, cells=cells)
+        sol = solve_lp(lp, warm=basis)
+        if sol.status != "optimal" and basis is not None:
+            sol = solve_lp(lp)
+        if sol.status != "optimal":
             value = float(point.ell[t - 1])
             diag = PointDiagnostics(
-                t=t, sense=sense, status=status, iterations=iterations,
-                final_slack=slack_total, worst_violation=math.inf, value=value,
+                t=t, sense=sense, status=f"lp_{sol.status}", iterations=iterations,
+                final_slack=math.inf, worst_violation=math.inf, value=value,
             )
             return value, diag
+        basis = sol.basis
+        point = FeasiblePoint(ell=sol.z[:m], g=sol.z[m : 2 * m - 2])
+        cells = linearize_cells(grid, point)
+        delta = chord_cap_shift(system, cells)
+        if delta > 0.0:
+            # a trust step can satisfy the tangent rows yet overshoot a true
+            # chord-mass cap; re-linearizing there would put a hard row through
+            # an infeasible center.  Dropping the whole curve by the excess
+            # restores every cap (concavity is shift-invariant), so each center
+            # stays hard-feasible and the program stays solvable.  The shifted
+            # point is linearized afresh: exp(a - delta) is not bitwise
+            # exp(a) * exp(-delta).
+            point = FeasiblePoint(ell=point.ell - delta, g=point.g)
+            cells = None
+        slack_total = float(sol.z[2 * m - 2 :].sum())
+        obj = float(sol.objective_value)
         iterations = k + 1
         if (
             prev_obj is not None
             and slack_total <= SLACK_TOL
             and abs(obj - prev_obj) <= OBJ_TOL
-            and check_feasible(grid, system, point, FEAS_EPS).feasible
+            and (report := check_feasible(grid, system, point, FEAS_EPS)).feasible
         ):
             # feasibility (not just a capped penalty) gates convergence, so
             # constraints are never left penalty-bought; iterations past the
             # tau cap polish away residual linearization overshoot
-            stopped = True
+            converged = True
             break
         prev_obj = obj
 
-    report = check_feasible(grid, system, point, FEAS_EPS)
+    if not converged:
+        report = check_feasible(grid, system, point, FEAS_EPS)
     value = float(point.ell[t - 1])
-    converged = report.feasible and slack_total <= SLACK_TOL and stopped
     diag = PointDiagnostics(
         t=t, sense=sense, status="converged" if converged else "not_converged",
         iterations=iterations, final_slack=slack_total,
         worst_violation=report.worst, value=value,
     )
     return value, diag
-
-
-def _ccp_step(
-    template: SubproblemTemplate,
-    point: FeasiblePoint,
-    cells: CellLinearization | None,
-    basis: BasisState | None,
-    t: int,
-    sense: str,
-    tau: float,
-    step_max: float,
-) -> tuple[
-    FeasiblePoint, CellLinearization | None, BasisState | None, float, float, str
-]:
-    """One linearize-and-solve step.
-
-    Returns (point, cells, basis, slack, obj, status), where cells is the
-    linearization at the returned point when one is at hand (else None) and
-    is passed back in with that point.  On LP failure the incoming point is
-    returned unchanged with the failure status; otherwise status is "ok".
-    A failed warm-started solve is retried cold once.
-    """
-    m = template.m
-    lp = template.instantiate(point, t, sense, tau, step_max=step_max, cells=cells)
-    sol = solve_lp(lp, warm=basis)
-    if sol.status != "optimal" and basis is not None:
-        sol = solve_lp(lp)
-    if sol.status != "optimal":
-        return point, cells, basis, math.inf, math.inf, f"lp_{sol.status}"
-    candidate = FeasiblePoint(ell=sol.z[:m], g=sol.z[m : 2 * m - 2])
-    basis = sol.basis
-    cells = linearize_cells(template.grid, candidate)
-    delta = chord_cap_shift(template.system, cells)
-    if delta > 0.0:
-        # a trust step can satisfy the tangent rows yet overshoot a true
-        # chord-mass cap; re-linearizing there would put a hard row through
-        # an infeasible center.  Dropping the whole curve by the excess
-        # restores every cap (concavity is shift-invariant), so each center
-        # stays hard-feasible and the program stays solvable.  The shifted
-        # point is linearized afresh: exp(a - delta) is not bitwise
-        # exp(a) * exp(-delta).
-        candidate = FeasiblePoint(ell=candidate.ell - delta, g=candidate.g)
-        cells = None
-    slack_total = float(sol.z[2 * m - 2 :].sum())
-    obj = float(sol.objective_value)
-    return candidate, cells, basis, slack_total, obj, "ok"
 
 
 def pointwise_intervals(
@@ -569,6 +510,8 @@ def pointwise_intervals(
         raise ValueError(f"subset must be one-dimensional, got shape {raw.shape}")
     if raw.size == 0:
         raise ValueError("subset must be nonempty")
+    if raw.dtype == bool:  # a mask would pass as the indices 0 and 1
+        raise ValueError("subset must hold knot indices, not a boolean mask")
     if not np.all(raw == np.round(raw)):  # NaN fails here too
         raise ValueError(f"subset indices must be integers, got {raw.tolist()}")
     if raw.min() < 1 or raw.max() > grid.m:
@@ -593,8 +536,8 @@ def pointwise_intervals(
             template=template, shared_basis=shared,
         )
         if lo_val > hi_val + 1e-9:
-            lo_diag = _mark_crossed(lo_diag)
-            hi_diag = _mark_crossed(hi_diag)
+            lo_diag = replace(lo_diag, status="crossed")
+            hi_diag = replace(hi_diag, status="crossed")
         lo[pos] = lo_val
         hi[pos] = hi_val
         diags.extend([lo_diag, hi_diag])
@@ -612,10 +555,6 @@ def _warmup_basis(
 ) -> BasisState | None:
     """Solve the first program once, cold, to harvest a shareable basis."""
     point = initial_point(grid, system, cfg)
-    lp = template.instantiate(point, t, "min", TAU0, step_max=STEP_MAX)
+    lp = template.instantiate(point, t, "min", TAU0)
     sol = solve_lp(lp)
     return sol.basis if sol.status == "optimal" else None
-
-
-def _mark_crossed(diag: PointDiagnostics) -> PointDiagnostics:
-    return replace(diag, status="crossed")

@@ -50,6 +50,11 @@ class InvalidAlpha(ValueError):
     """Coverage level outside (0, 1)."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; bool is refused, since True would pass as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DesignGrid:
     """Thinned order-statistic grid underlying all bounds.
@@ -138,6 +143,8 @@ def select_design_points(samples: np.ndarray) -> DesignGrid:
     Raises TooFewSamples when no dyadic depth fits (n below ~32), and
     DuplicateDesignPoint when ties collapse two design positions.
     """
+    if np.iscomplexobj(samples):  # a float cast would drop the imaginary part
+        raise ValueError("samples must be real")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
         raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")

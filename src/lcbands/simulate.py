@@ -20,7 +20,7 @@ import numpy as np
 
 from .band import build_band, eval_density_band
 from .ccp import CcpConfig, pointwise_intervals
-from .design import build_interval_system, select_design_points
+from .design import _is_integer, build_interval_system, select_design_points
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -63,14 +63,14 @@ class StudySpec:
     def __post_init__(self) -> None:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
+        if not _is_integer(self.reps) or self.reps < 1:
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         # the seed keys a Philox stream, which takes unsigned 64-bit words
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 

@@ -188,7 +188,7 @@ def test_json_rejects_malformed_band(pipeline_band):
             values[1] = v
             with pytest.raises(ValueError, match=field):
                 band_from_json({**good, field: values})
-    for n in (-5, 0, 100.5, "100"):
+    for n in (-5, 0, 100.5, "100", True, False):
         with pytest.raises(ValueError, match="n must"):
             band_from_json({**good, "n": n})
     for alpha in (7.0, 1.0, 0.0, -0.1, math.inf):

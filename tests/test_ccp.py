@@ -55,7 +55,7 @@ def gaussian_instance(n, seed, alpha=0.05):
 def test_config_validation():
     with pytest.raises(ValueError):
         CcpConfig(init="warm")
-    for bad in (-1, 2**64, 1.5, "0"):
+    for bad in (-1, 2**64, 1.5, "0", True, False):
         with pytest.raises(ValueError):
             CcpConfig(init="random", seed=bad)
     CcpConfig(init="random", seed=2**64 - 1)
@@ -195,6 +195,29 @@ def test_settle_phase_keeps_penalty_schedule(monkeypatch):
             assert template.taus == want
 
 
+def test_non_converging_run_makes_one_pass(monkeypatch):
+    # a well-separated bimodal sample is not log-concave: the slack never
+    # clears, and the run reports that after one pass of the penalty ramp
+    starts = []
+
+    def counting_initial_point(*args, **kwargs):
+        starts.append(None)
+        return initial_point(*args, **kwargs)
+
+    monkeypatch.setattr(ccp, "initial_point", counting_initial_point)
+    rng = np.random.Generator(np.random.Philox(key=[0, 11]))
+    x = rng.choice([-2.5, 2.5], size=200) + rng.normal(size=200)
+    grid = select_design_points(x)
+    system = build_interval_system(grid, 0.1)
+    template = _RecordingTemplate(grid, system)
+    _, diag = run_ccp_point(grid, system, 7, "max", CcpConfig(), template=template)
+    assert diag.status == "not_converged"
+    assert diag.iterations == 51  # the ramp K = 0..K_MAX, no settle phase
+    assert abs(diag.final_slack - 0.0994) <= 1e-4
+    assert len(starts) == 1
+    assert len(template.taus) == diag.iterations
+
+
 def test_monotone_criterion_fixed_tau():
     # textbook fixed-penalty iteration on an instance whose chord caps
     # never bind: the penalized objective is nonincreasing in the min sense
@@ -251,6 +274,9 @@ def test_subset_validation():
     for bad in ([[1, 2]], np.array(3)):
         with pytest.raises(ValueError, match="one-dimensional"):
             pointwise_intervals(grid, system, CcpConfig(), bad)
+    # a boolean mask must not be read as the knot indices 0 and 1
+    with pytest.raises(ValueError, match="boolean"):
+        pointwise_intervals(grid, system, CcpConfig(), np.ones(grid.m, bool))
     for good in (range(5, 6), np.array([5])):
         assert pointwise_intervals(grid, system, CcpConfig(), good).indices == (5,)
 

@@ -74,6 +74,10 @@ def test_duplicate_design_point():
 def test_non_finite_samples_rejected():
     with pytest.raises(ValueError):
         select_design_points(np.array([1.0, np.nan, 2.0] * 20))
+    # a cast to float would silently drop the imaginary parts
+    x = np.random.default_rng(3).standard_normal(100)
+    with pytest.raises(ValueError, match="real"):
+        select_design_points(x + 1e-3j)
 
 
 def test_system_n100():

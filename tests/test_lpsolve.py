@@ -300,7 +300,7 @@ def test_column_and_basis_match_scipy_slicing():
     system = build_interval_system(grid, 0.1)
     point = ccp.initial_point(grid, system, ccp.CcpConfig())
     template_lp = ccp.SubproblemTemplate(grid, system).instantiate(
-        point, 3, "min", 1.0, step_max=ccp.STEP_MAX
+        point, 3, "min", 1.0
     )
     hand_rows = sparse.coo_matrix(
         ([1.0, -0.0, 2.0, -1.5], ([0, 0, 1, 1], [0, 1, 1, 2])), shape=(2, 3)

@@ -37,15 +37,15 @@ def test_spec_validation():
         small_spec(distribution="cauchy")
     with pytest.raises(ValueError):
         small_spec(alpha=1.0)
-    for bad in (0, -3, 2.0, 100.5, "100"):
+    for bad in (0, -3, 2.0, 100.5, "100", True):
         with pytest.raises(ValueError, match="n must"):
             small_spec(n=bad)
-    for bad in (0, 1.0, 2.5, "2"):
+    for bad in (0, 1.0, 2.5, "2", True):
         with pytest.raises(ValueError, match="reps must"):
             small_spec(reps=bad)
     # the seed keys a Philox stream: 1.5 would alias seed 1, -1 would wrap
     # to a platform-defined key, 2**64 would overflow at the first rep
-    for bad in (1.5, -1, 2**64, "0"):
+    for bad in (1.5, -1, 2**64, "0", True, False):
         with pytest.raises(ValueError, match="seed must"):
             small_spec(seed=bad)
     small_spec(seed=2**64 - 1, n=np.int64(100), reps=np.uint8(2))

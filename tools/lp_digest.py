@@ -1,11 +1,14 @@
-"""Per-band digest of every linear program the CCP solves.
+"""Per-band digests of every linear program the CCP solves and of the band.
 
 For each band of a benchmark workload this prints one SHA-256 over every
 LP's inputs (objective, COO data/row/col, rhs, lower, upper) and outputs
-(status, z, iterations), in solve order, plus the LP call and pivot counts.
-Two checkouts whose digests agree solved the same programs, pivot for
-pivot, to the same bits; a speed change that must not move the bands can
-be checked by diffing this script's output across the two checkouts.
+(status, z, iterations), in solve order, plus the LP call and pivot counts
+(sha256=).  A second SHA-256 (band_sha256=) covers the band itself: knots,
+lo_log, hi_log, L, R, xbar and every PointDiagnostics.  Two checkouts whose
+LP digests agree solved the same programs, pivot for pivot, to the same
+bits; two whose band digests agree returned the same bands, however many
+LPs they solved.  A change that must not move the bands can be checked by
+diffing this script's output across the two checkouts.
 
     python3 tools/lp_digest.py --workload all --seed 0 --bands 0-3
     python3 tools/lp_digest.py --workload gauss-n400 --seed 104729 --bands 2
@@ -77,6 +80,16 @@ class LpHasher:
         self.ccp.solve_lp = self.solve
 
 
+def band_digest(intervals, band) -> str:
+    """SHA-256 over the band's arrays and its points' diagnostics."""
+    sha = hashlib.sha256()
+    for arr in (band.knots, band.lo_log, band.hi_log, band.L, band.R, band.xbar):
+        sha.update(np.ascontiguousarray(arr).tobytes())
+    for diag in intervals.diagnostics:
+        sha.update(repr(diag).encode())  # float repr round-trips exactly
+    return sha.hexdigest()
+
+
 def main() -> int:
     bench = load_bench_run()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -93,10 +106,12 @@ def main() -> int:
             w = bench.WORKLOADS[name]
             for i in args.bands:
                 hasher.reset()
-                bench.run_band(lc, w, bench.band_input(w, args.seed, i), cfg)
+                intervals, band = bench.run_band(
+                    lc, w, bench.band_input(w, args.seed, i), cfg
+                )
                 print(f"{name} seed={args.seed} band={i} calls={hasher.calls} "
-                      f"pivots={hasher.pivots} sha256={hasher.sha.hexdigest()}",
-                      flush=True)
+                      f"pivots={hasher.pivots} sha256={hasher.sha.hexdigest()} "
+                      f"band_sha256={band_digest(intervals, band)}", flush=True)
     return 0
 
 
