@@ -88,6 +88,12 @@ class ConfidenceBand:
                 raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
+        # the tolerance pointwise_intervals marks a crossed point by
+        crossed = self.lo_log > self.hi_log + 1e-9
+        if crossed.any():
+            raise ValueError(
+                f"lo_log exceeds hi_log at knots {self.knots[crossed].tolist()}"
+            )
         if not _is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (math.isnan(self.alpha) or 0.0 < self.alpha < 1.0):

@@ -24,11 +24,16 @@ The ell box exists because ell_1 and ell_m appear in no mass lower bound,
 making the bare minimization unbounded; a range of +-25 around the
 empirical histogram level is far wider than any plausible density value
 and acts only as a numerical floor.
+
+The (point, sense) runs of one pointwise_intervals call share nothing
+mutable, so they run on forked worker processes, one per usable CPU, with
+the same bits as a serial run; pointwise_intervals says when they do not.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -503,7 +508,17 @@ def pointwise_intervals(
 
     Under the data initializer every run's first program has identical
     constraints, so the basis from one cold solve seeds all the others.
-    Per-point runs share no mutable state and are order-independent.
+    The (t, sense) runs share no mutable state, so they run on forked
+    worker processes, one per CPU the process may use (at most 8 and at
+    most one per run; taskset or os.sched_setaffinity limits them), and
+    come back in subset order with the same bits as a serial run.  They
+    run here, one after another, when fewer than two workers would run,
+    without fork or CPU affinity (non-Linux), in a daemonic process, in a
+    process running other threads (fork copies only the calling one), and
+    while a name the runs look up at call time (run_ccp_point,
+    initial_point, chord_cap_shift, linearize_cells, check_feasible,
+    solve_lp, SubproblemTemplate.instantiate) is rebound, so that the
+    wrapper sees every call.
     """
     raw = np.asarray(subset)
     if raw.ndim != 1:
@@ -523,18 +538,13 @@ def pointwise_intervals(
     if cfg.init == "data":
         shared = _warmup_basis(grid, system, cfg, template, int(subset[0]))
 
+    jobs = [(int(t), sense) for t in subset for sense in ("min", "max")]
+    runs = _run_endpoints((grid, system, cfg, template, shared), jobs)
     lo = np.empty(subset.size)
     hi = np.empty(subset.size)
     diags: list[PointDiagnostics] = []
-    for pos, t in enumerate(subset):
-        lo_val, lo_diag = run_ccp_point(
-            grid, system, int(t), "min", cfg,
-            template=template, shared_basis=shared,
-        )
-        hi_val, hi_diag = run_ccp_point(
-            grid, system, int(t), "max", cfg,
-            template=template, shared_basis=shared,
-        )
+    for pos in range(subset.size):
+        (lo_val, lo_diag), (hi_val, hi_diag) = runs[2 * pos : 2 * pos + 2]
         if lo_val > hi_val + 1e-9:
             lo_diag = replace(lo_diag, status="crossed")
             hi_diag = replace(hi_diag, status="crossed")
@@ -543,6 +553,69 @@ def pointwise_intervals(
         diags.extend([lo_diag, hi_diag])
     return PointwiseIntervals(
         indices=tuple(int(t) for t in subset), lo=lo, hi=hi, diagnostics=tuple(diags)
+    )
+
+
+def _run_endpoint(args: tuple, job: tuple[int, str]) -> tuple[float, PointDiagnostics]:
+    grid, system, cfg, template, shared = args
+    t, sense = job
+    return run_ccp_point(
+        grid, system, t, sense, cfg, template=template, shared_basis=shared
+    )
+
+
+def _run_endpoints(args: tuple, jobs: list) -> list:
+    """_run_endpoint over jobs, in order, on forked workers when they may run.
+
+    A run that raises in a worker raises here, once the pool is ended.
+    """
+    import multiprocessing
+    import threading
+
+    workers = 0
+    if (
+        hasattr(os, "sched_getaffinity")
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+        and all(a is b for a, b in zip(_run_lookups(), _OWN_RUN_LOOKUPS))
+    ):
+        workers = min(len(os.sched_getaffinity(0)), 8, len(jobs))
+    if workers < 2:
+        return [_run_endpoint(args, job) for job in jobs]
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_keep_worker_args, initargs=(args,)
+    )
+    try:
+        runs = pool.map(_run_worker_endpoint, jobs, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return runs
+
+
+# Set by _keep_worker_args in each pool worker only; the calling process
+# never sets it.
+_worker_args: tuple | None = None
+
+
+def _keep_worker_args(args: tuple) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _run_worker_endpoint(job: tuple[int, str]) -> tuple[float, PointDiagnostics]:
+    return _run_endpoint(_worker_args, job)
+
+
+def _run_lookups() -> tuple:
+    """The objects a run looks up at call time, as they are bound now."""
+    return (
+        run_ccp_point, initial_point, chord_cap_shift, linearize_cells,
+        check_feasible, solve_lp, SubproblemTemplate.instantiate,
     )
 
 
@@ -558,3 +631,7 @@ def _warmup_basis(
     lp = template.instantiate(point, t, "min", TAU0)
     sol = solve_lp(lp)
     return sol.basis if sol.status == "optimal" else None
+
+
+# _run_lookups as this module binds them
+_OWN_RUN_LOOKUPS = _run_lookups()

@@ -194,6 +194,11 @@ def test_json_rejects_malformed_band(pipeline_band):
     for alpha in (7.0, 1.0, 0.0, -0.1, math.inf):
         with pytest.raises(ValueError, match="alpha"):
             band_from_json({**good, "alpha": alpha})
+    # swapped ends would evaluate to lower > upper; a crossing within the
+    # 1e-9 that pointwise_intervals forgives is legal
+    with pytest.raises(ValueError, match="lo_log exceeds hi_log"):
+        band_from_json({**good, "lo_log": good["hi_log"], "hi_log": good["lo_log"]})
+    band_from_json({**good, "lo_log": [v + 5e-10 for v in good["hi_log"]]})
     # an unrecorded level and never-crossing tangents are legal
     band_from_json({**good, "alpha": None, "xbar": [None] * len(good["xbar"])})
 

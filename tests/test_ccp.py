@@ -8,6 +8,9 @@ random initializations.
 """
 
 import math
+import multiprocessing
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,6 +53,19 @@ def gaussian_instance(n, seed, alpha=0.05):
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     grid = select_design_points(rng.normal(size=n))
     return grid, build_interval_system(grid, alpha)
+
+
+fans_out = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the endpoint runs fan out only with fork and 2 or more usable CPUs",
+)
+
+
+def intervals_n100():
+    grid, system = gaussian_instance(100, seed=0)
+    return pointwise_intervals(grid, system, CcpConfig(), range(1, grid.m + 1))
 
 
 def test_config_validation():
@@ -256,6 +272,72 @@ def test_subset_runs_are_independent():
     shared = [full.indices.index(t) for t in odd.indices]
     np.testing.assert_array_equal(full.lo[shared], odd.lo)
     np.testing.assert_array_equal(full.hi[shared], odd.hi)
+
+
+@fans_out
+def test_fan_out_matches_in_process(monkeypatch):
+    # the sanity cell, every run made here one after another, against the
+    # same runs on forked workers: not one bit may differ
+    x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=200)
+    grid = select_design_points(x)
+    system = build_interval_system(grid, 0.1)
+    cfg = CcpConfig()
+    subset = np.arange(1, grid.m + 1)
+    template = SubproblemTemplate(grid, system)
+    shared = ccp._warmup_basis(grid, system, cfg, template, 1)
+    direct = [
+        run_ccp_point(grid, system, int(t), sense, cfg, template=template,
+                      shared_basis=shared)
+        for t in subset
+        for sense in ("min", "max")
+    ]
+    here = []
+    run_endpoint = ccp._run_endpoint
+
+    def counting_run_endpoint(args, job):
+        here.append(job)  # a worker appends to its own copy
+        return run_endpoint(args, job)
+
+    monkeypatch.setattr(ccp, "_run_endpoint", counting_run_endpoint)
+    fanned = pointwise_intervals(grid, system, cfg, subset)
+    assert here == []  # every run went to a worker
+    assert fanned.lo.tolist() == [v for v, _ in direct[0::2]]
+    assert fanned.hi.tolist() == [v for v, _ in direct[1::2]]
+    assert fanned.diagnostics == tuple(d for _, d in direct)
+    # no worker and no pool thread outlives the call
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+@fans_out
+def test_fan_out_raise_reaches_caller_and_ends_pool(monkeypatch):
+    caller = os.getpid()
+    run_endpoint = ccp._run_endpoint
+
+    def failing_in_worker(args, job):
+        if os.getpid() == caller:
+            return run_endpoint(args, job)
+        raise RuntimeError(f"run {job} failed")
+
+    monkeypatch.setattr(ccp, "_run_endpoint", failing_in_worker)
+    with pytest.raises(RuntimeError, match="failed"):
+        intervals_n100()
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_daemonic_caller_gets_the_same_intervals():
+    # a pool worker may not have children of its own, so its runs stay in it
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inner = pool.apply_async(intervals_n100).get(timeout=300)
+    outer = intervals_n100()
+    assert inner.indices == outer.indices
+    assert inner.lo.tolist() == outer.lo.tolist()
+    assert inner.hi.tolist() == outer.hi.tolist()
+    assert inner.diagnostics == outer.diagnostics
 
 
 def test_subset_validation():

@@ -10,6 +10,12 @@ bits; two whose band digests agree returned the same bands, however many
 LPs they solved.  A change that must not move the bands can be checked by
 diffing this script's output across the two checkouts.
 
+Hooking solve_lp keeps pointwise_intervals' runs in this process, one
+after another.  So each band is also run once unhooked, with its runs
+fanned out over worker processes, and its band digest must equal the
+hooked one: a band that differs gets MISMATCH and the fan-out's digest
+appended to its line, and the script exits with status 1.
+
     python3 tools/lp_digest.py --workload all --seed 0 --bands 0-3
     python3 tools/lp_digest.py --workload gauss-n400 --seed 104729 --bands 2
 
@@ -52,9 +58,6 @@ class LpHasher:
     def __init__(self, ccp):
         self.ccp = ccp
         self.solve = ccp.solve_lp
-        self.reset()
-
-    def reset(self) -> None:
         self.sha = hashlib.sha256()
         self.calls = self.pivots = 0
 
@@ -101,18 +104,22 @@ def main() -> int:
     lc = bench.import_lcbands()
     cfg = lc.ccp.CcpConfig()
     names = list(bench.WORKLOADS) if args.workload == "all" else [args.workload]
-    with LpHasher(lc.ccp) as hasher:
-        for name in names:
-            w = bench.WORKLOADS[name]
-            for i in args.bands:
-                hasher.reset()
-                intervals, band = bench.run_band(
-                    lc, w, bench.band_input(w, args.seed, i), cfg
-                )
-                print(f"{name} seed={args.seed} band={i} calls={hasher.calls} "
-                      f"pivots={hasher.pivots} sha256={hasher.sha.hexdigest()} "
-                      f"band_sha256={band_digest(intervals, band)}", flush=True)
-    return 0
+    mismatches = 0
+    for name in names:
+        w = bench.WORKLOADS[name]
+        for i in args.bands:
+            x = bench.band_input(w, args.seed, i)
+            with LpHasher(lc.ccp) as hasher:
+                digest = band_digest(*bench.run_band(lc, w, x, cfg))
+            line = (f"{name} seed={args.seed} band={i} calls={hasher.calls} "
+                    f"pivots={hasher.pivots} sha256={hasher.sha.hexdigest()} "
+                    f"band_sha256={digest}")
+            fanned = band_digest(*bench.run_band(lc, w, x, cfg))
+            if fanned != digest:
+                mismatches += 1
+                line += f" MISMATCH fan_out_band_sha256={fanned}"
+            print(line, flush=True)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
