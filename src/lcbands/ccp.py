@@ -282,11 +282,8 @@ class SubproblemTemplate:
         self._C = C
 
         # anchor columns for the tangent entries depend only on the grid
-        from .relax import _anchor_arrays
-
-        u_anchor, _, v_anchor, _ = _anchor_arrays(m)
-        ua = u_anchor[cells]
-        va = v_anchor[cells]
+        ua = grid.cell_layout.u_anchor[cells]
+        va = grid.cell_layout.v_anchor[cells]
         s0 = self._n_conc_entries
         s1 = s0 + 2 * C
         # down1 ell and g columns
@@ -478,7 +475,9 @@ def run_ccp_point(
             prev_obj is not None
             and slack_total <= SLACK_TOL
             and abs(obj - prev_obj) <= OBJ_TOL
-            and (report := check_feasible(grid, system, point, FEAS_EPS)).feasible
+            and (
+                report := check_feasible(grid, system, point, FEAS_EPS, cells=cells)
+            ).feasible
         ):
             # feasibility (not just a capped penalty) gates convergence, so
             # constraints are never left penalty-bought; iterations past the
@@ -488,7 +487,7 @@ def run_ccp_point(
         prev_obj = obj
 
     if not converged:
-        report = check_feasible(grid, system, point, FEAS_EPS)
+        report = check_feasible(grid, system, point, FEAS_EPS, cells=cells)
     value = float(point.ell[t - 1])
     diag = PointDiagnostics(
         t=t, sense=sense, status="converged" if converged else "not_converged",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .specfun import BetaParams, qbeta
 
 __all__ = [
     "DesignGrid",
+    "CellLayout",
     "Block",
     "IntervalSystem",
     "TooFewSamples",
@@ -69,6 +71,47 @@ class DesignGrid:
     m: int
     b_max: int
     x: np.ndarray
+
+    @cached_property
+    def cell_layout(self) -> CellLayout:
+        """The grid-only constants of the cell-mass bounds, built on first use."""
+        m = self.m
+        i = np.arange(1, m)
+        u_anchor = np.where(i <= m - 2, i + 1, m - 1)
+        v_anchor = np.where(i >= 2, i, 2)
+        dx = np.diff(self.x)
+        u_sign_dx = np.where(i <= m - 2, -1.0, 1.0) * dx
+        v_sign_dx = np.where(i >= 2, 1.0, -1.0) * dx
+        return CellLayout(
+            u_anchor=u_anchor,
+            v_anchor=v_anchor,
+            ell_at=np.concatenate([u_anchor - 1, v_anchor - 1, i - 1]),
+            g_at=np.concatenate([u_anchor - 2, v_anchor - 2]),
+            sign_dx=np.concatenate([u_sign_dx, v_sign_dx]),
+            log_dx=np.tile(np.log(dx), 3),
+        )
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """Per-cell constants of the mass bounds in lcbands.relax.
+
+    Cell i = 1..m-1 is (x_i, x_{i+1}), with width dx_i.  u_anchor and
+    v_anchor hold the 1-based design point whose tangent line bounds the
+    cell from the right (U_i) and from the left (V_i).  The other arrays
+    run over every cell's U bound, then its V bound, then its chord bound
+    L: ell_at indexes each bound's base level (the anchor, or the cell's
+    left end for L), g_at the anchor slope of U and V (0-based into g),
+    sign_dx is that slope's sign in the bound times dx_i, and log_dx is
+    log(dx_i).
+    """
+
+    u_anchor: np.ndarray
+    v_anchor: np.ndarray
+    ell_at: np.ndarray
+    g_at: np.ndarray
+    sign_dx: np.ndarray
+    log_dx: np.ndarray
 
 
 @dataclass(frozen=True)

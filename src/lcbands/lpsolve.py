@@ -11,13 +11,22 @@ refactorized every few dozen pivots and product-form eta updates cover the
 pivots in between.  Pricing is full Dantzig with a switch to Bland's rule
 after a run of degenerate pivots, which guarantees termination.
 
-Each solve builds its column matrix once, as raw CSC arrays: those of
-rows.tocsc() followed by one +1 entry per slack column and one -1 entry per
-artificial column.  The transpose that prices every column is built once
-with it.  Entering columns are scattered from their indptr slice into a
-dense vector (adding into zeros, so a stored -0.0 reads as +0.0), and each
-refactorization hands SuperLU a basis matrix gathered from the same arrays,
-so no scipy.sparse slicing runs between pivots.
+Each solve keeps its column matrix [rows | I | -I] as raw CSC arrays and
+calls on them the compiled SciPy kernels that the scipy.sparse wrappers
+call, with the same inputs, so every result has the wrappers' bits.  COO
+rows (the CCP's) are converted by the routines rows.tocsc() runs, under
+its conditions: coo_tocsr, then csr_has_canonical_format,
+csr_has_sorted_indices, csr_sort_indices and csr_sum_duplicates, so
+repeated entries are summed in the same order.  Rows in other formats go
+through rows.tocsc().  Products with the columns and with their transpose
+are csc_matvec and csr_matvec.  Each refactorization hands SuperLU's gstrf
+the basis columns gathered from the arrays, with splu's options; they are
+canonical already, so splu's sum_duplicates would change nothing.
+Entering columns are scattered into a dense vector (adding into zeros, so
+a stored -0.0 reads as +0.0).  A refactorization and recomputation of the
+basic values is skipped where it would only reproduce the state in hand:
+after a warm basis that needed no repair, and after a phase 2 without a
+pivot.
 
 Solutions carry the basis so a caller solving a drifting sequence of
 structurally identical programs can warm-start.  A warm basis whose basic
@@ -33,14 +42,44 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "LinearProgram",
     "LpSolution",
     "BasisState",
+    "SparseKernelsMissing",
     "solve_lp",
 ]
+
+
+class SparseKernelsMissing(ImportError):
+    """SciPy lacks a compiled sparse kernel this module calls, or its call."""
+
+
+# the options splu(A) passes to gstrf
+_SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+
+try:
+    from scipy.sparse._sparsetools import (
+        coo_tocsr,
+        csc_matvec,
+        csr_has_canonical_format,
+        csr_has_sorted_indices,
+        csr_matvec,
+        csr_sort_indices,
+        csr_sum_duplicates,
+    )
+    from scipy.sparse.linalg._dsolve._superlu import gstrf
+
+    # factor [[1]] as _Simplex._refactor does: a changed call fails here
+    gstrf(
+        1, 1, np.ones(1), np.zeros(1, dtype=np.intc), np.array([0, 1], dtype=np.intc),
+        csc_construct_func=sparse.csc_array, options=_SPLU_OPTIONS, ilu=False,
+    )
+except (ImportError, TypeError) as exc:
+    raise SparseKernelsMissing(
+        f"lcbands.lpsolve calls SciPy's private sparse kernels directly: {exc}"
+    ) from exc
 
 _DUAL_TOL = 1e-9       # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-9      # minimum pivot magnitude in the ratio test
@@ -115,6 +154,28 @@ class LpSolution:
     basis: BasisState | None
 
 
+def _csc_arrays(rows: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """data, indices, indptr of rows.tocsc(), entry for entry."""
+    if rows.format != "coo":
+        a = rows.tocsc()
+        return a.data, a.indices.astype(np.intc), a.indptr.astype(np.intc)
+    r, n = rows.shape
+    nnz = rows.nnz
+    indptr = np.empty(n + 1, dtype=np.intc)
+    indices = np.empty(nnz, dtype=np.intc)
+    data = np.empty_like(rows.data)
+    coo_tocsr(
+        n, r, nnz, rows.col.astype(np.intc, copy=False),
+        rows.row.astype(np.intc, copy=False), rows.data, indptr, indices, data,
+    )
+    if not rows.has_canonical_format and not csr_has_canonical_format(n, indptr, indices):
+        if not csr_has_sorted_indices(n, indptr, indices):
+            csr_sort_indices(n, indptr, indices, data)
+        csr_sum_duplicates(n, r, indptr, indices, data)
+        indices, data = indices[: indptr[-1]], data[: indptr[-1]]
+    return data, indices, indptr
+
+
 class _Simplex:
     """One solve's worth of state for the bounded-variable revised simplex."""
 
@@ -132,20 +193,12 @@ class _Simplex:
         # columns: structural | slack identity | artificial slots (-identity,
         # activated per negative-residual row during phase 1)
         self.ncols = n + 2 * r
-        a = lp.rows.tocsc()
-        idx = np.arange(r, dtype=a.indices.dtype)
-        self.cols = sparse.csc_matrix(
-            (
-                np.concatenate([a.data, np.ones(r), -np.ones(r)]),
-                np.concatenate([a.indices, idx, idx]),
-                np.concatenate([a.indptr, a.nnz + 1 + np.arange(2 * r)]),
-            ),
-            shape=(r, self.ncols),
-        )
-        self.data, self.indices, self.indptr = (
-            self.cols.data, self.cols.indices, self.cols.indptr
-        )
-        self.cols_t = self.cols.T
+        data, indices, indptr = _csc_arrays(lp.rows)
+        nnz = indptr[-1]
+        idx = np.arange(r, dtype=np.intc)
+        self.data = np.concatenate([data, np.ones(r), -np.ones(r)])
+        self.indices = np.concatenate([indices, idx, idx])
+        self.indptr = np.concatenate([indptr, nnz + 1 + np.arange(2 * r, dtype=np.intc)])
         self.lower = np.concatenate([lp.lower, np.zeros(r), np.zeros(r)])
         self.upper = np.concatenate([lp.upper, np.full(r, np.inf), np.zeros(r)])
         self.cost = np.zeros(self.ncols)
@@ -172,24 +225,43 @@ class _Simplex:
         col[self.indices[lo:hi]] += self.data[lo:hi]
         return col
 
-    def _basis_matrix(self) -> sparse.csc_matrix:
-        """cols[:, basis] from the raw arrays, entry for entry."""
+    def _basis_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """data, indices, indptr of cols[:, basis], entry for entry."""
         start = self.indptr[self.basis]
         counts = self.indptr[self.basis + 1] - start
-        ptr = np.zeros(self.r + 1, dtype=self.indptr.dtype)
+        ptr = np.zeros(self.r + 1, dtype=np.intc)
         np.cumsum(counts, out=ptr[1:])
         pos = np.repeat(start - ptr[:-1], counts) + np.arange(ptr[-1])
-        return sparse.csc_matrix(
-            (self.data[pos], self.indices[pos], ptr), shape=(self.r, self.r)
-        )
+        return self.data[pos], self.indices[pos], ptr
 
     def _refactor(self) -> bool:
+        data, indices, ptr = self._basis_arrays()
         try:
-            self.lu = splu(self._basis_matrix())
+            self.lu = gstrf(
+                self.r, data.size, data, indices, ptr,
+                csc_construct_func=sparse.csc_array, options=_SPLU_OPTIONS, ilu=False,
+            )
         except RuntimeError:
             return False
         self.etas = []
         return True
+
+    def _cols_at(self, v: np.ndarray, ncols: int | None = None) -> np.ndarray:
+        """cols[:, :ncols] @ v[:ncols] (all columns by default)."""
+        ncols = self.ncols if ncols is None else ncols
+        nnz = self.indptr[ncols]
+        out = np.zeros(self.r)
+        csc_matvec(
+            self.r, ncols, self.indptr[: ncols + 1], self.indices[:nnz],
+            self.data[:nnz], v, out,
+        )
+        return out
+
+    def _cols_t_at(self, y: np.ndarray) -> np.ndarray:
+        """cols.T @ y."""
+        out = np.zeros(self.ncols)
+        csr_matvec(self.ncols, self.r, self.indptr, self.indices, self.data, y, out)
+        return out
 
     def _ftran(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(v)
@@ -216,7 +288,7 @@ class _Simplex:
 
     def _recompute_basics(self) -> None:
         xn = self._nonbasic_values()
-        residual = self.b - self.cols @ xn
+        residual = self.b - self._cols_at(xn)
         self.x_basic = self._ftran(residual)
 
     # -- setup -----------------------------------------------------------
@@ -232,7 +304,7 @@ class _Simplex:
         xn = np.where(self.nb_state[:n] == _AT_UPPER, self.upper[:n], self.lower[:n])
         xn[self.nb_state[:n] == _FREE] = 0.0
         xn[~np.isfinite(xn)] = 0.0
-        residual = self.b - self.cols[:, :n] @ xn
+        residual = self.b - self._cols_at(xn, n)
 
         self.in_basis[:] = False
         self.artificial_rows = residual < 0
@@ -296,6 +368,7 @@ class _Simplex:
         lo0 = self.lower.copy()
         up0 = self.upper.copy()
         best = np.inf
+        repaired = False
         for _ in range(_REPAIR_ROUNDS):
             x = self._full_point()
             over = x - up0
@@ -323,6 +396,7 @@ class _Simplex:
                 return False
             self._refactor()
             self._recompute_basics()
+            repaired = True
         else:
             x = self._full_point()
             total = float(
@@ -332,7 +406,10 @@ class _Simplex:
                 self._restore_bounds(lo0, up0)
                 return False
         self._restore_bounds(lo0, up0)
-        self._recompute_basics()
+        if repaired:
+            # with no round run the restore moves no nonbasic value, so
+            # _load_warm's basic values stand
+            self._recompute_basics()
         lo_b = self.lower[self.basis]
         up_b = self.upper[self.basis]
         ok = (self.x_basic >= lo_b - 1e-7) & (self.x_basic <= up_b + 1e-7)
@@ -362,7 +439,7 @@ class _Simplex:
 
     def _reduced_costs(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self._btran(cost[self.basis])
-        rc = cost - self.cols_t @ y
+        rc = cost - self._cols_t_at(y)
         return rc, y
 
     def _choose_entering(self, rc: np.ndarray, bland: bool) -> tuple[int, float] | None:
@@ -509,7 +586,7 @@ class _Simplex:
             ei = np.zeros(r)
             ei[rpos] = 1.0
             wr = self._btran(ei)
-            alpha = self.cols_t @ wr
+            alpha = self._cols_t_at(wr)
             candidates = ~self.in_basis & (np.abs(alpha) > 1e-7)
             candidates[n + r :] = False
             idx = np.flatnonzero(candidates)
@@ -541,9 +618,15 @@ class _Simplex:
                 return self._finish(status)
             self._refactor()
             self._recompute_basics()
+        # either path leaves the basic values freshly refactorized and
+        # recomputed here, so only pivots in phase 2 call for doing it again
+        before_phase2 = self.iterations
         status = self.run_phase(self.cost)
         if status == "numerical":  # basis factorization failed
             return self._finish("iteration_limit")
+        if status == "optimal" and self.iterations > before_phase2:
+            self._refactor()
+            self._recompute_basics()
         return self._finish(status)
 
     def _finish(self, status: str) -> LpSolution:
@@ -553,8 +636,6 @@ class _Simplex:
                 status=status, z=None, objective_value=None,
                 iterations=self.iterations, basis=None,
             )
-        self._refactor()
-        self._recompute_basics()
         x = self._nonbasic_values()
         x[self.basis] = self.x_basic
         z = x[:n]

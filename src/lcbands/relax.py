@@ -103,48 +103,32 @@ class CellLinearization:
     l_dhi: np.ndarray   # partial wrt ell_{i+1}
 
 
-def _anchor_arrays(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    i = np.arange(1, m)
-    u_anchor = np.where(i <= m - 2, i + 1, m - 1)
-    u_sign = np.where(i <= m - 2, -1.0, 1.0)
-    v_anchor = np.where(i >= 2, i, 2)
-    v_sign = np.where(i >= 2, 1.0, -1.0)
-    return u_anchor, u_sign, v_anchor, v_sign
-
-
 def linearize_cells(grid: DesignGrid, point: FeasiblePoint) -> CellLinearization:
     """All cell bounds and gradient pieces at once (vectorized).
 
-    Values overflow to inf (never NaN) for astronomically steep candidates,
-    which keeps violation comparisons meaningful.
+    The U, V and L arguments of the log-exp-mean kernels are evaluated in
+    one concatenated array, over the grid's cached CellLayout.  Values
+    overflow to inf (never NaN) for astronomically steep candidates, which
+    keeps violation comparisons meaningful.
     """
     _check_point(grid, point.ell, point.g)
-    m = grid.m
-    ell, g = point.ell, point.g
-    dx = np.diff(grid.x)
-    u_anchor, u_sign, v_anchor, v_sign = _anchor_arrays(m)
+    layout = grid.cell_layout
+    ell = point.ell
+    c = grid.m - 1
 
     with np.errstate(over="ignore"):
-        su = u_sign * g[u_anchor - 2] * dx
-        base_u = ell[u_anchor - 1] + np.log(dx)
-        u_val = np.exp(base_u + log_exp_mean_arr(su))
-        u_dg = u_sign * dx * np.exp(base_u + log_exp_mean_deriv_arr(su))
-
-        sv = v_sign * g[v_anchor - 2] * dx
-        base_v = ell[v_anchor - 1] + np.log(dx)
-        v_val = np.exp(base_v + log_exp_mean_arr(sv))
-        v_dg = v_sign * dx * np.exp(base_v + log_exp_mean_deriv_arr(sv))
-
-        s = np.diff(ell)
-        base_l = ell[:-1] + np.log(dx)
-        l_val = np.exp(base_l + log_exp_mean_arr(s))
-        l_dlo = np.exp(base_l + log_exp_mean_gap_arr(s))
-        l_dhi = np.exp(base_l + log_exp_mean_deriv_arr(s))
+        # slope arguments of U, then V, then the chord rises of L
+        s = np.concatenate([layout.sign_dx * point.g[layout.g_at], np.diff(ell)])
+        base = ell[layout.ell_at] + layout.log_dx
+        val = np.exp(base + log_exp_mean_arr(s))
+        deriv = np.exp(base + log_exp_mean_deriv_arr(s))
+        dg = layout.sign_dx * deriv[: 2 * c]
+        l_dlo = np.exp(base[2 * c :] + log_exp_mean_gap_arr(s[2 * c :]))
 
     return CellLinearization(
-        u_val=u_val, u_dg=u_dg, u_anchor=u_anchor,
-        v_val=v_val, v_dg=v_dg, v_anchor=v_anchor,
-        l_val=l_val, l_dlo=l_dlo, l_dhi=l_dhi,
+        u_val=val[:c], u_dg=dg[:c], u_anchor=layout.u_anchor,
+        v_val=val[c : 2 * c], v_dg=dg[c:], v_anchor=layout.v_anchor,
+        l_val=val[2 * c :], l_dlo=l_dlo, l_dhi=deriv[2 * c :],
     )
 
 
@@ -172,6 +156,7 @@ def check_feasible(
     system: IntervalSystem,
     point: FeasiblePoint,
     eps: float = 1e-7,
+    cells: CellLinearization | None = None,
 ) -> ConstraintReport:
     """Test all constraint families at once.
 
@@ -179,9 +164,12 @@ def check_feasible(
     DOWN1: c_B <= sum of U over the pair's cells
     DOWN2: c_B <= sum of V over the pair's cells
     UP:    sum of L over the pair's cells <= d_B
+
+    cells, when given, is linearize_cells at point, already computed.
     """
     _check_point(grid, point.ell, point.g)
-    cells = linearize_cells(grid, point)
+    if cells is None:
+        cells = linearize_cells(grid, point)
     x, ell, g = grid.x, point.ell, point.g
 
     left = ell[:-2] - ell[1:-1] - g * (x[:-2] - x[1:-1])

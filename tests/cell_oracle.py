@@ -4,6 +4,10 @@ One cell at a time, straight from the formulas in lcbands.relax: the chord
 lower bound L_i, the tangent upper bounds U_i and V_i, their gradients over
 the global (ell, g) ordering, and their first-order expansions.  Tests
 compare linearize_cells and the CCP subproblem rows against these.
+
+linearize_cells_unfused is the vectorized form with one kernel call per
+bound family, computed from the grid on every call; linearize_cells must
+equal it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcbands.design import DesignGrid
-from lcbands.relax import FeasiblePoint, _check_point
+from lcbands.relax import CellLinearization, FeasiblePoint, _check_point
 from lcbands.specfun import (
     log_exp_mean_arr,
     log_exp_mean_deriv_arr,
@@ -184,3 +188,39 @@ def linearize_V(grid: DesignGrid, point: FeasiblePoint, i: int) -> AffineFunctio
     value = eval_V(grid, point.ell, point.g, i)
     grad = grad_V(grid, point.ell, point.g, i)
     return _linearize(value, grad, as_vector(point))
+
+
+def linearize_cells_unfused(grid: DesignGrid, point: FeasiblePoint) -> CellLinearization:
+    """linearize_cells with each family's kernels run on its own arguments."""
+    _check_point(grid, point.ell, point.g)
+    m = grid.m
+    ell, g = point.ell, point.g
+    dx = np.diff(grid.x)
+    i = np.arange(1, m)
+    u_anchor = np.where(i <= m - 2, i + 1, m - 1)
+    u_sign = np.where(i <= m - 2, -1.0, 1.0)
+    v_anchor = np.where(i >= 2, i, 2)
+    v_sign = np.where(i >= 2, 1.0, -1.0)
+
+    with np.errstate(over="ignore"):
+        su = u_sign * g[u_anchor - 2] * dx
+        base_u = ell[u_anchor - 1] + np.log(dx)
+        u_val = np.exp(base_u + log_exp_mean_arr(su))
+        u_dg = u_sign * dx * np.exp(base_u + log_exp_mean_deriv_arr(su))
+
+        sv = v_sign * g[v_anchor - 2] * dx
+        base_v = ell[v_anchor - 1] + np.log(dx)
+        v_val = np.exp(base_v + log_exp_mean_arr(sv))
+        v_dg = v_sign * dx * np.exp(base_v + log_exp_mean_deriv_arr(sv))
+
+        s = np.diff(ell)
+        base_l = ell[:-1] + np.log(dx)
+        l_val = np.exp(base_l + log_exp_mean_arr(s))
+        l_dlo = np.exp(base_l + log_exp_mean_gap_arr(s))
+        l_dhi = np.exp(base_l + log_exp_mean_deriv_arr(s))
+
+    return CellLinearization(
+        u_val=u_val, u_dg=u_dg, u_anchor=u_anchor,
+        v_val=v_val, v_dg=v_dg, v_anchor=v_anchor,
+        l_val=l_val, l_dlo=l_dlo, l_dhi=l_dhi,
+    )

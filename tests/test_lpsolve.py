@@ -5,13 +5,26 @@ instances constructed to be feasible and bounded; status classification is
 checked on hand-built programs.
 """
 
+import importlib.util
+import sys
+import types
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse._compressed import _cs_matrix
+from scipy.sparse.linalg import splu
 
-from lcbands import ccp
+from lcbands import ccp, lpsolve
 from lcbands.design import build_interval_system, select_design_points
-from lcbands.lpsolve import BasisState, LinearProgram, LpSolution, _Simplex, solve_lp
+from lcbands.lpsolve import (
+    BasisState,
+    LinearProgram,
+    LpSolution,
+    _csc_arrays,
+    _Simplex,
+    solve_lp,
+)
 from lp_oracle import brute_force_min
 
 
@@ -291,52 +304,179 @@ def test_validation_errors():
         )
 
 
-def test_column_and_basis_match_scipy_slicing():
-    # the simplex reads columns and basis matrices straight from its CSC
-    # arrays; both must equal what scipy.sparse slicing of the stacked
-    # [rows | I | -I] matrix gives, down to the sign of a stored zero
-    x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=100)
+def _template_program(n):
+    x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=n)
     grid = select_design_points(x)
     system = build_interval_system(grid, 0.1)
     point = ccp.initial_point(grid, system, ccp.CcpConfig())
-    template_lp = ccp.SubproblemTemplate(grid, system).instantiate(
-        point, 3, "min", 1.0
-    )
+    return ccp.SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
+
+
+def _template_and_hand_programs():
+    """CCP template programs at n=100 and at n=200, where depth-1 pairs make
+    DOWN rows repeat anchor columns, then a hand-built program that stores a
+    -0.0, as CSR rows and, last, as COO rows."""
     hand_rows = sparse.coo_matrix(
         ([1.0, -0.0, 2.0, -1.5], ([0, 0, 1, 1], [0, 1, 1, 2])), shape=(2, 3)
     )
-    hand_lp = LinearProgram(
-        objective=np.ones(3), rows=hand_rows, rhs=np.ones(2),
-        lower=np.zeros(3), upper=np.full(3, np.inf),
-    )
+    hand = [
+        LinearProgram(
+            objective=np.ones(3), rows=rows, rhs=np.ones(2),
+            lower=np.zeros(3), upper=np.full(3, np.inf),
+        )
+        for rows in (hand_rows.tocsr(), hand_rows)
+    ]
+    return _template_program(100), _template_program(200), *hand
+
+
+def _stacked(lp):
+    eye = sparse.identity(lp.num_rows, format="csc")
+    return sparse.hstack([lp.rows.tocsc(), eye, -eye], format="csc")
+
+
+def _bases(simplex, rng):
+    simplex.start_cold()
+    return [simplex.basis.copy()] + [
+        rng.choice(simplex.ncols, size=simplex.r, replace=False) for _ in range(20)
+    ]
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_column_and_basis_match_scipy_slicing():
+    # the simplex reads columns and basis matrices straight from its raw CSC
+    # arrays; both must equal what scipy.sparse slicing of the stacked
+    # [rows | I | -I] matrix gives, down to the sign of a stored zero
     rng = np.random.default_rng(47)
-    for lp in (template_lp, hand_lp):
+    for lp in _template_and_hand_programs():
         simplex = _Simplex(lp)
-        r = lp.num_rows
-        eye = sparse.identity(r, format="csc")
-        stacked = sparse.hstack([lp.rows.tocsc(), eye, -eye], format="csc")
+        stacked = _stacked(lp)
         for name in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(
-                getattr(simplex.cols, name), getattr(stacked, name)
-            )
+            _assert_same_bits(getattr(simplex, name), getattr(stacked, name))
         for q in range(simplex.ncols):
-            got = simplex._column(q)
-            want = stacked[:, q].toarray().ravel()
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        simplex.start_cold()
-        bases = [simplex.basis.copy()] + [
-            rng.choice(simplex.ncols, size=r, replace=False) for _ in range(20)
-        ]
-        for basis in bases:
+            _assert_same_bits(simplex._column(q), stacked[:, q].toarray().ravel())
+        for basis in _bases(simplex, rng):
             simplex.basis = basis
-            got = simplex._basis_matrix()
+            got = simplex._basis_arrays()
             want = stacked[:, basis].tocsc()
-            assert got.shape == want.shape
-            for name in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert want.shape == (lp.num_rows, lp.num_rows)
+            assert got[2].size == lp.num_rows + 1
+            for arr, name in zip(got, ("data", "indices", "indptr")):
+                _assert_same_bits(arr, getattr(want, name))
     # the hand program really stores a negative zero, and reads it as +0.0
-    hand = _Simplex(hand_lp)
-    stored_zero = hand.cols.data[hand.cols.data == 0.0]
+    hand = _Simplex(_template_and_hand_programs()[-1])
+    stored_zero = hand.data[hand.data == 0.0]
     assert stored_zero.size == 1 and np.signbit(stored_zero[0])
     assert not np.signbit(hand._column(1)).any()
+
+
+def test_coo_conversion_matches_tocsc():
+    # the direct COO -> CSC conversion sums the template's repeated anchor
+    # entries in the order rows.tocsc() does
+    for lp in _template_and_hand_programs():
+        got = _csc_arrays(lp.rows)
+        want = lp.rows.tocsc()
+        for arr, name in zip(got, ("data", "indices", "indptr")):
+            _assert_same_bits(arr, getattr(want, name))
+    rows = _template_program(200).rows
+    assert rows.nnz > rows.tocsc().nnz  # repeated entries were summed
+
+
+def test_matvecs_match_scipy_products():
+    rng = np.random.default_rng(48)
+    for lp in _template_and_hand_programs():
+        simplex = _Simplex(lp)
+        stacked = _stacked(lp)
+        for _ in range(5):
+            v = rng.normal(size=simplex.ncols) * (rng.uniform(size=simplex.ncols) < 0.7)
+            y = rng.normal(size=simplex.r)
+            _assert_same_bits(simplex._cols_at(v), stacked @ v)
+            _assert_same_bits(simplex._cols_at(v[: lp.num_vars], lp.num_vars),
+                              stacked[:, : lp.num_vars] @ v[: lp.num_vars])
+            _assert_same_bits(simplex._cols_t_at(y), stacked.T @ y)
+
+
+def _regular_bases(simplex, stacked, rng, count=20):
+    """The cold start basis, then count bases along a random walk of pivots
+    that each keep the basis matrix regular.  (Random column subsets of a
+    template program are structurally singular, and SuperLU can crash on
+    those, inside splu too.)"""
+    simplex.start_cold()
+    basis = simplex.basis.copy()
+    dense = stacked.toarray()
+    bases = [basis.copy()]
+    while len(bases) <= count:
+        q = rng.choice(np.setdiff1d(np.arange(simplex.ncols), basis))
+        d = np.linalg.solve(dense[:, basis], dense[:, q])
+        rows = np.flatnonzero(np.abs(d) > 0.1)
+        if rows.size:
+            basis[rng.choice(rows)] = q
+            bases.append(basis.copy())
+    return bases
+
+
+def test_lu_solves_match_splu():
+    # gstrf on the gathered basis arrays is splu on the sliced basis matrix
+    rng = np.random.default_rng(49)
+    for lp in _template_and_hand_programs():
+        simplex = _Simplex(lp)
+        stacked = _stacked(lp)
+        for basis in _regular_bases(simplex, stacked, rng):
+            simplex.basis = basis
+            want = splu(stacked[:, basis].tocsc())
+            assert simplex._refactor()
+            for _ in range(3):
+                v = rng.normal(size=simplex.r)
+                _assert_same_bits(simplex.lu.solve(v), want.solve(v))
+                _assert_same_bits(
+                    simplex.lu.solve(v, trans="T"), want.solve(v, trans="T")
+                )
+
+
+def test_solve_builds_no_compressed_matrix(monkeypatch):
+    # the solver runs SciPy's kernels on raw arrays: no csc/csr object is
+    # built per solve, cold or warm
+    template_lp = _template_program(200)
+    built = []
+    init = _cs_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+    cold = solve_lp(template_lp)
+    warm = solve_lp(template_lp, warm=cold.basis)
+    assert cold.status == warm.status == "optimal"
+    assert cold.iterations > 0
+    assert built == []
+
+
+def _gstrf_without_construct_func(n, nnz, data, indices, indptr, options=None, ilu=False):
+    raise AssertionError("not reached: the keyword is refused first")
+
+
+@pytest.mark.parametrize(
+    "module, attrs",
+    [
+        ("scipy.sparse._sparsetools", {}),
+        (
+            "scipy.sparse.linalg._dsolve._superlu",
+            {"gstrf": _gstrf_without_construct_func},
+        ),
+    ],
+    ids=["kernels_missing", "gstrf_call_changed"],
+)
+def test_missing_or_changed_kernel_fails_at_import(monkeypatch, module, attrs):
+    fake = types.ModuleType(module)
+    fake.__dict__.update(attrs)
+    monkeypatch.setitem(sys.modules, module, fake)
+    spec = importlib.util.spec_from_file_location("_lpsolve_copy", lpsolve.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "_lpsolve_copy", copy)
+    with pytest.raises(ImportError) as info:
+        spec.loader.exec_module(copy)
+    assert type(info.value).__name__ == "SparseKernelsMissing"

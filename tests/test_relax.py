@@ -25,6 +25,7 @@ from cell_oracle import (
     linearize_L,
     linearize_U,
     linearize_V,
+    linearize_cells_unfused,
     num_vars,
 )
 from lcbands.design import Block, DesignGrid, IntervalSystem
@@ -229,6 +230,43 @@ def test_linearize_cells_matches_per_cell_functions():
         assert abs(cells.v_dg[i - 1] - gv[g_index(av, m)]) <= 1e-13
         assert abs(cells.l_dlo[i - 1] - gl[ell_index(i, m)]) <= 1e-13
         assert abs(cells.l_dhi[i - 1] - gl[ell_index(i + 1, m)]) <= 1e-13
+
+
+def _kernel_regions(s: np.ndarray) -> set[str]:
+    # the branches of the log-exp-mean kernels in lcbands.specfun
+    a = np.abs(s)
+    regions = {
+        "asymptotic": a >= 50.0,
+        "taylor": a <= 1e-4,
+        "deriv_taylor": (a > 1e-4) & (a <= 1e-2),
+        "direct": (a > 1e-2) & (a < 50.0),
+    }
+    return {name for name, hit in regions.items() if hit.any()}
+
+
+def test_fused_linearize_cells_equals_unfused():
+    # one kernel pass over the concatenated U, V and L arguments must give
+    # the bits of one pass per family, on every kernel branch
+    x = np.cumsum([0.0, 0.5, 1.0, 1.0, 2.0, 1.0, 1.0, 0.25, 1.0, 1.0, 1.5, 1.0, 1.0, 1.0])
+    grid = toy_grid(x)
+    m = grid.m
+    rise = [52.0, -0.7, 4e-5, -3e-3, -58.0, 2.2, -6e-5, 9e-3, 0.0, -1.1, 5e-4, -2e-3, 0.35]
+    g = [75.0, -0.3, 3e-5, -5e-3, 2.5, -60.0, 8e-3, -2e-5, 0.0, 1.7, -55.0, 4e-4]
+    extreme = FeasiblePoint(ell=np.concatenate([[-1.0], -1.0 + np.cumsum(rise)]), g=g)
+    layout = grid.cell_layout
+    slopes = layout.sign_dx * extreme.g[layout.g_at]  # U, then V arguments
+    for args in (slopes[: m - 1], slopes[m - 1 :], np.diff(extreme.ell)):
+        assert _kernel_regions(args) == {"asymptotic", "taylor", "deriv_taylor", "direct"}
+    rng = np.random.default_rng(11)
+    points = [extreme] + [random_point(grid, rng, scale) for scale in (1e-3, 1.0, 30.0)]
+    for point in points:
+        fused = linearize_cells(grid, point)
+        unfused = linearize_cells_unfused(grid, point)
+        for name in fused.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(fused, name), getattr(unfused, name))
+            np.testing.assert_array_equal(
+                np.signbit(getattr(fused, name)), np.signbit(getattr(unfused, name))
+            )
 
 
 def test_affine_function_value():
