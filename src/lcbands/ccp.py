@@ -16,9 +16,10 @@ relaxed rows, and solves the resulting linear program
          ell boxed to a wide data-driven range
 
 with the penalty tau_K = min(TAU0 * KAPPA^K, TAU_MAX) growing each
-iteration.  Iterates reuse the previous basis, and all candidate starts for
-one dataset share the basis of the very first solve, since every first
-iteration sees identical constraints under the data-driven initializer.
+iteration.  Every run starts from one point, the histogram levels made
+hard-feasible, built once per pointwise_intervals call.  Iterates reuse the
+previous basis, and all runs share the basis of the very first solve, since
+every first iteration sees the same constraints.
 
 The ell box exists because ell_1 and ell_m appear in no mass lower bound,
 making the bare minimization unbounded; a range of +-25 around the
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .design import DesignGrid, IntervalSystem, _is_integer
+from .design import DesignGrid, IntervalSystem
 from .lpsolve import BasisState, LinearProgram, solve_lp
 from .relax import CellLinearization, FeasiblePoint, check_feasible, linearize_cells
 
@@ -85,23 +86,13 @@ LOG_BOX_HALFWIDTH = 25.0
 
 @dataclass(frozen=True)
 class CcpConfig:
-    """Choice of CCP starting point.
+    """No settings: every run starts from the histogram levels.
 
-    init="data" (the default) starts every run from the histogram levels,
-    so seed plays no part; CcpConfig(init="random", seed=s) starts each
-    (point, sense) run from its own seeded draw.  The schedule and stopping
-    constants are module constants of lcbands.ccp.
+    The class and pointwise_intervals' cfg parameter stay only because the
+    benchmark (bench/run.py: run_band, warm_up, selftest, make_reference)
+    calls lc.ccp.CcpConfig().  The schedule and stopping constants are
+    module constants of lcbands.ccp.
     """
-
-    init: str = "data"      # "data" | "random"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.init not in ("data", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
-        # the seed keys a Philox stream, which takes unsigned 64-bit words
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -158,33 +149,17 @@ def _concave_majorant(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.interp(x, x[hull], y[hull])
 
 
-def initial_point(
-    grid: DesignGrid,
-    system: IntervalSystem,
-    cfg: CcpConfig,
-    t: int = 0,
-    sense: str = "min",
-) -> FeasiblePoint:
-    """Histogram levels with centered slopes, or seeded standard normals.
+def initial_point(grid: DesignGrid, system: IntervalSystem) -> FeasiblePoint:
+    """Histogram levels with centered slopes, the start of every run.
 
-    Either draw is post-processed so the point satisfies the hard rows of
-    the first subproblem: the log levels are replaced by their least
-    concave majorant, and each knot slope is the centered secant, which
-    lies between the adjacent secants of the concave levels (the CONC rows
-    say exactly that the tangent at a knot lies above both neighbors).  The
-    levels are then shifted down by chord_cap_shift, so every pair's chord
-    mass is at most d_B.  Random initialization draws an independent
-    substream per (t, sense) so results do not depend on solve order.
+    The levels are made to satisfy the hard rows of the first subproblem:
+    they are replaced by their least concave majorant, and each knot slope
+    is the centered secant, which lies between the adjacent secants of the
+    concave levels (the CONC rows say exactly that the tangent at a knot
+    lies above both neighbors).  The levels are then shifted down by
+    chord_cap_shift, so every pair's chord mass is at most d_B.
     """
-    if cfg.init == "data":
-        raw = np.clip(_histogram_log_density(grid), -30.0, 30.0)
-    else:
-        stream = np.random.Generator(
-            np.random.Philox(
-                key=[np.uint64(cfg.seed), np.uint64(2 * t + (sense == "max"))]
-            )
-        )
-        raw = stream.standard_normal(grid.m)
+    raw = np.clip(_histogram_log_density(grid), -30.0, 30.0)
     x = grid.x
     ell = _concave_majorant(x, raw)
     point = FeasiblePoint(ell=ell, g=(ell[2:] - ell[:-2]) / (x[2:] - x[:-2]))
@@ -256,6 +231,9 @@ class SubproblemTemplate:
         dn1_rows = np.concatenate([dn1_0 + pair_of_cell] * 2)
         dn2_rows = np.concatenate([dn2_0 + pair_of_cell] * 2)
         slack_cols = 2 * m - 2 + np.arange(P)
+        # tangent anchor columns (ell, then g) depend only on the grid
+        ua = grid.cell_layout.u_anchor[cells]
+        va = grid.cell_layout.v_anchor[cells]
 
         self._rows = np.concatenate(
             [
@@ -271,29 +249,19 @@ class SubproblemTemplate:
             [
                 np.concatenate([np.asarray(cc) for cc in conc_cols]),
                 up_cols,
-                np.concatenate([np.zeros(C, dtype=np.int64)] * 2),  # refilled below
+                ua - 1,
+                m + ua - 2,
                 slack_cols,
-                np.concatenate([np.zeros(C, dtype=np.int64)] * 2),
+                va - 1,
+                m + va - 2,
                 slack_cols,
             ]
         ).astype(np.int32)
         self._conc_values = np.concatenate(conc_data)
         self._n_conc_entries = self._conc_values.size
         self._C = C
-
-        # anchor columns for the tangent entries depend only on the grid
-        ua = grid.cell_layout.u_anchor[cells]
-        va = grid.cell_layout.v_anchor[cells]
-        s0 = self._n_conc_entries
-        s1 = s0 + 2 * C
-        # down1 ell and g columns
-        self._cols[s1 : s1 + C] = ua - 1
-        self._cols[s1 + C : s1 + 2 * C] = m + ua - 2
-        s2 = s1 + 2 * C + P
-        self._cols[s2 : s2 + C] = va - 1
-        self._cols[s2 + C : s2 + 2 * C] = m + va - 2
-        self._s1 = s1
-        self._s2 = s2
+        self._s1 = self._n_conc_entries + 2 * C
+        self._s2 = self._s1 + 2 * C + P
 
         lo, hi = default_log_bounds(grid)
         self.lower = np.concatenate(
@@ -393,16 +361,13 @@ class SubproblemTemplate:
 
 
 def run_ccp_point(
-    grid: DesignGrid,
-    system: IntervalSystem,
+    template: SubproblemTemplate,
+    start: FeasiblePoint,
     t: int,
     sense: str,
-    cfg: CcpConfig,
-    *,
-    template: SubproblemTemplate | None = None,
     shared_basis: BasisState | None = None,
 ) -> tuple[float, PointDiagnostics]:
-    """Drive the penalty CCP at one design point and sense.
+    """Drive the penalty CCP from start at one design point and sense.
 
     Returns the extremal ell_t value of the final iterate plus diagnostics.
     The optional shared_basis seeds the first solve; later iterations warm
@@ -410,8 +375,7 @@ def run_ccp_point(
     is retried cold once.  An LP that still fails ends the run at the
     incoming point with status lp_<status>.
     """
-    if template is None:
-        template = SubproblemTemplate(grid, system)
+    grid, system = template.grid, template.system
     m = grid.m
     if not 1 <= t <= m:
         raise ValueError(f"t={t} outside 1..{m}")
@@ -425,7 +389,7 @@ def run_ccp_point(
             final_slack=0.0, worst_violation=0.0, value=value,
         )
         return value, diag
-    point = initial_point(grid, system, cfg, t, sense)
+    point = start
     cells = None  # linearize_cells at point, when at hand
     basis = shared_basis
     prev_obj = None
@@ -505,8 +469,9 @@ def pointwise_intervals(
 ) -> PointwiseIntervals:
     """Extremal log-density values at every subset point, both senses.
 
-    Under the data initializer every run's first program has identical
-    constraints, so the basis from one cold solve seeds all the others.
+    cfg is unused (see CcpConfig).  Every run starts from one initial_point,
+    so every run's first program has the same constraints, and the basis
+    from one cold solve seeds all the others.
     The (t, sense) runs share no mutable state, so they run on forked
     worker processes, one per CPU the process may use (at most 8 and at
     most one per run; taskset or os.sched_setaffinity limits them), and
@@ -515,9 +480,9 @@ def pointwise_intervals(
     without fork or CPU affinity (non-Linux), in a daemonic process, in a
     process running other threads (fork copies only the calling one), and
     while a name the runs look up at call time (run_ccp_point,
-    initial_point, chord_cap_shift, linearize_cells, check_feasible,
-    solve_lp, SubproblemTemplate.instantiate) is rebound, so that the
-    wrapper sees every call.
+    chord_cap_shift, linearize_cells, check_feasible, solve_lp,
+    SubproblemTemplate.instantiate) is rebound, so that the wrapper sees
+    every call.
     """
     raw = np.asarray(subset)
     if raw.ndim != 1:
@@ -532,13 +497,11 @@ def pointwise_intervals(
         raise ValueError(f"subset indices outside 1..{grid.m}")
     subset = np.unique(raw.astype(int))
     template = SubproblemTemplate(grid, system)
-
-    shared: BasisState | None = None
-    if cfg.init == "data":
-        shared = _warmup_basis(grid, system, cfg, template, int(subset[0]))
+    start = initial_point(grid, system)
+    shared = _warmup_basis(template, start, int(subset[0]))
 
     jobs = [(int(t), sense) for t in subset for sense in ("min", "max")]
-    runs = _run_endpoints((grid, system, cfg, template, shared), jobs)
+    runs = _run_endpoints((template, start, shared), jobs)
     lo = np.empty(subset.size)
     hi = np.empty(subset.size)
     diags: list[PointDiagnostics] = []
@@ -556,11 +519,9 @@ def pointwise_intervals(
 
 
 def _run_endpoint(args: tuple, job: tuple[int, str]) -> tuple[float, PointDiagnostics]:
-    grid, system, cfg, template, shared = args
+    template, start, shared = args
     t, sense = job
-    return run_ccp_point(
-        grid, system, t, sense, cfg, template=template, shared_basis=shared
-    )
+    return run_ccp_point(template, start, t, sense, shared)
 
 
 def _run_endpoints(args: tuple, jobs: list) -> list:
@@ -613,21 +574,16 @@ def _run_worker_endpoint(job: tuple[int, str]) -> tuple[float, PointDiagnostics]
 def _run_lookups() -> tuple:
     """The objects a run looks up at call time, as they are bound now."""
     return (
-        run_ccp_point, initial_point, chord_cap_shift, linearize_cells,
-        check_feasible, solve_lp, SubproblemTemplate.instantiate,
+        run_ccp_point, chord_cap_shift, linearize_cells, check_feasible,
+        solve_lp, SubproblemTemplate.instantiate,
     )
 
 
 def _warmup_basis(
-    grid: DesignGrid,
-    system: IntervalSystem,
-    cfg: CcpConfig,
-    template: SubproblemTemplate,
-    t: int,
+    template: SubproblemTemplate, start: FeasiblePoint, t: int
 ) -> BasisState | None:
     """Solve the first program once, cold, to harvest a shareable basis."""
-    point = initial_point(grid, system, cfg)
-    lp = template.instantiate(point, t, "min", TAU0)
+    lp = template.instantiate(start, t, "min", TAU0)
     sol = solve_lp(lp)
     return sol.basis if sol.status == "optimal" else None
 

@@ -41,7 +41,9 @@ __all__ = [
 
 
 class TooFewSamples(ValueError):
-    """Sample too small to support even one interval depth."""
+    """Sample too small for even one interval depth: n < 3, or
+    floor(log2(n/8)) - s_n < 0 with s_n = ceil(log2(ln n)).  That is every
+    n <= 31, and n = 55..63, where s_n steps up to 3 before log2(n/8) does."""
 
 
 class DuplicateDesignPoint(ValueError):
@@ -183,8 +185,8 @@ def _depth_cap(n: int, s_n: int) -> int:
 def select_design_points(samples: np.ndarray) -> DesignGrid:
     """Sort the sample and pick every 2^{s_n}-th order statistic.
 
-    Raises TooFewSamples when no dyadic depth fits (n below ~32), and
-    DuplicateDesignPoint when ties collapse two design positions.
+    Raises TooFewSamples when no dyadic depth fits (n <= 31 or 55..63),
+    and DuplicateDesignPoint when ties collapse two design positions.
     """
     if np.iscomplexobj(samples):  # a float cast would drop the imaginary part
         raise ValueError("samples must be real")

@@ -3,10 +3,11 @@
 Covers the subproblem assembly (variable and row counts, tangent rows
 touching at the expansion point), the penalty schedule, the stopping
 behavior, and the interval-level contracts: min <= max, feasibility at
-convergence, subset independence, determinism, and agreement across
-random initializations.
+convergence, subset independence and determinism.  Every run starts from
+the histogram point that initial_point builds.
 """
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -69,13 +70,14 @@ def intervals_n100():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CcpConfig(init="warm")
-    for bad in (-1, 2**64, 1.5, "0", True, False):
-        with pytest.raises(ValueError):
-            CcpConfig(init="random", seed=bad)
-    CcpConfig(init="random", seed=2**64 - 1)
-    CcpConfig(init="random", seed=np.uint64(7))
+    # CcpConfig has no settings: every run starts from the histogram levels
+    assert dataclasses.fields(CcpConfig) == ()
+    assert CcpConfig() == CcpConfig()
+    for kwargs in ({"init": "data"}, {"init": "random"}, {"seed": 0}):
+        with pytest.raises(TypeError):
+            CcpConfig(**kwargs)
+    with pytest.raises(TypeError):
+        CcpConfig("data")
 
 
 def test_sanity_cell_lp_traffic(monkeypatch):
@@ -83,6 +85,7 @@ def test_sanity_cell_lp_traffic(monkeypatch):
     # however small, shows here as a different call or pivot count
     calls = []
     linearizations = []
+    starts = []
 
     def counting_solve_lp(lp, warm=None):
         sol = solve_lp(lp, warm)
@@ -93,17 +96,24 @@ def test_sanity_cell_lp_traffic(monkeypatch):
         linearizations.append(None)
         return linearize_cells(grid, point)
 
+    def counting_initial_point(grid, system):
+        starts.append(None)
+        return initial_point(grid, system)
+
     monkeypatch.setattr(ccp, "solve_lp", counting_solve_lp)
     monkeypatch.setattr(ccp, "linearize_cells", counting_linearize_cells)
+    monkeypatch.setattr(ccp, "initial_point", counting_initial_point)
     x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=200)
     grid = select_design_points(x)
     system = build_interval_system(grid, 0.1)
     pointwise_intervals(grid, system, CcpConfig(), np.arange(1, grid.m + 1))
     assert len(calls) == 1440
     assert sum(calls) == 13957
-    # each initial point and each solved iterate is linearized once for
+    # one start serves every run
+    assert len(starts) == 1
+    # the start and each solved iterate are linearized once for
     # chord_cap_shift; the next program linearizes again only after a shift
-    assert len(linearizations) == 2245
+    assert len(linearizations) == 2197
 
 
 def test_subproblem_counts_match_design_n100():
@@ -112,7 +122,7 @@ def test_subproblem_counts_match_design_n100():
     grid, system = gaussian_instance(100, seed=0)
     assert grid.m == 13
     assert system.pair_count == 12
-    point = initial_point(grid, system, CcpConfig())
+    point = initial_point(grid, system)
     lp = SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
     assert lp.num_vars == 36
     assert lp.num_rows == 22 + 12 + 24
@@ -179,7 +189,7 @@ class _RecordingTemplate(SubproblemTemplate):
 def test_penalty_schedule_exact():
     grid, system = gaussian_instance(100, seed=0)
     template = _RecordingTemplate(grid, system)
-    _, diag = run_ccp_point(grid, system, 7, "min", CcpConfig(), template=template)
+    _, diag = run_ccp_point(template, initial_point(grid, system), 7, "min")
     assert diag.status == "converged"
     assert 1 < diag.iterations <= ccp.K_MAX  # no settle or retry pass
     assert len(template.taus) == diag.iterations
@@ -195,12 +205,11 @@ def test_settle_phase_keeps_penalty_schedule(monkeypatch):
     monkeypatch.setattr(ccp, "TAU0", 1e2)
     monkeypatch.setattr(ccp, "K_MAX", 2)
     grid, system = gaussian_instance(100, seed=0)
+    start = initial_point(grid, system)
     for t in (3, 7):
         for sense in ("min", "max"):
             template = _RecordingTemplate(grid, system)
-            _, diag = run_ccp_point(
-                grid, system, t, sense, CcpConfig(), template=template
-            )
+            _, diag = run_ccp_point(template, start, t, sense)
             assert diag.status == "converged"
             assert diag.iterations > ccp.K_MAX + 1
             assert len(template.taus) == diag.iterations
@@ -226,7 +235,7 @@ def test_non_converging_run_makes_one_pass(monkeypatch):
     grid = select_design_points(x)
     system = build_interval_system(grid, 0.1)
     template = _RecordingTemplate(grid, system)
-    _, diag = run_ccp_point(grid, system, 7, "max", CcpConfig(), template=template)
+    _, diag = run_ccp_point(template, ccp.initial_point(grid, system), 7, "max")
     assert diag.status == "not_converged"
     assert diag.iterations == 51  # the ramp K = 0..K_MAX, no settle phase
     assert abs(diag.final_slack - 0.0994) <= 1e-4
@@ -240,8 +249,7 @@ def test_monotone_criterion_fixed_tau():
     grid = toy_grid(np.linspace(0.0, 1.0, 6))
     system = toy_system(6, c=0.05, d=50.0)
     template = SubproblemTemplate(grid, system)
-    cfg = CcpConfig(init="random", seed=5)
-    point = initial_point(grid, system, cfg, t=3, sense="min")
+    point = initial_point(grid, system)
     prev = math.inf
     for _ in range(12):
         lp = template.instantiate(point, 3, "min", tau=25.0)
@@ -284,10 +292,10 @@ def test_fan_out_matches_in_process(monkeypatch):
     cfg = CcpConfig()
     subset = np.arange(1, grid.m + 1)
     template = SubproblemTemplate(grid, system)
-    shared = ccp._warmup_basis(grid, system, cfg, template, 1)
+    start = initial_point(grid, system)
+    shared = ccp._warmup_basis(template, start, 1)
     direct = [
-        run_ccp_point(grid, system, int(t), sense, cfg, template=template,
-                      shared_basis=shared)
+        run_ccp_point(template, start, int(t), sense, shared)
         for t in subset
         for sense in ("min", "max")
     ]
@@ -365,12 +373,14 @@ def test_subset_validation():
 
 def test_point_validation():
     grid, system = gaussian_instance(100, seed=0)
+    template = SubproblemTemplate(grid, system)
+    start = initial_point(grid, system)
     with pytest.raises(ValueError):
-        run_ccp_point(grid, system, 0, "min", CcpConfig())
+        run_ccp_point(template, start, 0, "min")
     with pytest.raises(ValueError):
-        run_ccp_point(grid, system, 14, "min", CcpConfig())
+        run_ccp_point(template, start, 14, "min")
     with pytest.raises(ValueError):
-        run_ccp_point(grid, system, 3, "lower", CcpConfig())
+        run_ccp_point(template, start, 3, "lower")
 
 
 def test_endpoint_minimum_is_box_floor():
@@ -378,34 +388,35 @@ def test_endpoint_minimum_is_box_floor():
     # the variable box floor and needs no iteration
     grid, system = gaussian_instance(100, seed=2)
     floor = default_log_bounds(grid)[0]
+    template = SubproblemTemplate(grid, system)
+    start = initial_point(grid, system)
     for t in (1, 13):
-        val, diag = run_ccp_point(grid, system, t, "min", CcpConfig())
+        val, diag = run_ccp_point(template, start, t, "min")
         assert diag.status == "converged"
         assert diag.iterations == 0
         assert val == floor
-    val, diag = run_ccp_point(grid, system, 1, "max", CcpConfig())
+    val, diag = run_ccp_point(template, start, 1, "max")
     assert diag.status == "converged"
     assert val > floor + 1.0
 
 
 def test_initial_point_satisfies_hard_rows():
     grid, system = gaussian_instance(100, seed=4)
-    for cfg in (CcpConfig(), CcpConfig(init="random", seed=9)):
-        point = initial_point(grid, system, cfg, t=5, sense="max")
-        report = check_feasible(grid, system, point)
-        assert report.conc <= 1e-9
-        assert report.up <= 1e-9
+    point = initial_point(grid, system)
+    report = check_feasible(grid, system, point)
+    assert report.conc <= 1e-9
+    assert report.up <= 1e-9
 
 
 def test_deterministic_across_repeats_and_threads():
     grid, system = gaussian_instance(100, seed=6)
-    cfg = CcpConfig(init="random", seed=6)
+    start = initial_point(grid, system)
     jobs = [(t, sense) for t in (2, 5, 9) for sense in ("min", "max")]
     template = SubproblemTemplate(grid, system)
 
     def solve(job):
         t, sense = job
-        return run_ccp_point(grid, system, t, sense, cfg, template=template)[0]
+        return run_ccp_point(template, start, t, sense)[0]
 
     serial = [solve(job) for job in jobs]
     repeat = [solve(job) for job in jobs]
@@ -413,15 +424,3 @@ def test_deterministic_across_repeats_and_threads():
         threaded = list(pool.map(solve, jobs))
     assert serial == repeat
     assert serial == threaded
-
-
-def test_random_initializations_agree():
-    grid, system = gaussian_instance(100, seed=7)
-    for t, sense in ((7, "min"), (7, "max")):
-        vals = []
-        for seed in range(10):
-            cfg = CcpConfig(init="random", seed=seed)
-            val, diag = run_ccp_point(grid, system, t, sense, cfg)
-            assert diag.status == "converged"
-            vals.append(val)
-        assert max(vals) - min(vals) <= 1e-4

@@ -62,6 +62,15 @@ def test_too_few_samples():
     # n=32 is the smallest size with a valid depth
     grid = select_design_points(rng.standard_normal(32))
     assert grid.b_max == 0
+    # refused exactly when floor(log2(n/8)) - s_n < 0: n = 3..31, and
+    # n = 55..63, where s_n steps up to 3 before log2(n/8) reaches 3
+    refused = []
+    for n in range(3, 201):
+        try:
+            select_design_points(rng.standard_normal(n))
+        except TooFewSamples:
+            refused.append(n)
+    assert refused == [*range(3, 32), *range(55, 64)]
 
 
 def test_duplicate_design_point():

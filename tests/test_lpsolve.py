@@ -308,7 +308,7 @@ def _template_program(n):
     x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=n)
     grid = select_design_points(x)
     system = build_interval_system(grid, 0.1)
-    point = ccp.initial_point(grid, system, ccp.CcpConfig())
+    point = ccp.initial_point(grid, system)
     return ccp.SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
 
 
