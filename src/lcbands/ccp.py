@@ -38,10 +38,9 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .design import DesignGrid, IntervalSystem
-from .lpsolve import BasisState, LinearProgram, solve_lp
+from .lpsolve import BasisState, CscLayout, LinearProgram, solve_lp
 from .relax import CellLinearization, FeasiblePoint, check_feasible, linearize_cells
 
 __all__ = [
@@ -185,7 +184,9 @@ class SubproblemTemplate:
 
     Variables: ell_1..ell_m | g_2..g_{m-1} | one slack per pair.
     Rows: CONC (constant data), then per-pair UP, DOWN1, DOWN2 whose
-    coefficients are refilled at each linearization point.
+    coefficients are refilled at each linearization point.  The entries are
+    laid out once as COO coordinates (_rows, _cols), and their CSC layout
+    is fixed here too, so every program shares it and carries only values.
     """
 
     def __init__(self, grid: DesignGrid, system: IntervalSystem):
@@ -257,6 +258,7 @@ class SubproblemTemplate:
                 slack_cols,
             ]
         ).astype(np.int32)
+        self._layout = CscLayout(self._rows, self._cols, (self.n_rows, self.nvar))
         self._conc_values = np.concatenate(conc_data)
         self._n_conc_entries = self._conc_values.size
         self._C = C
@@ -337,9 +339,6 @@ class SubproblemTemplate:
         rhs[self.n_conc + P : self.n_conc + 2 * P] = -system.c + u_const
         rhs[self.n_conc + 2 * P :] = -system.c + v_const
 
-        mat = sparse.coo_matrix(
-            (data, (self._rows, self._cols)), shape=(self.n_rows, self.nvar)
-        )
         objective = np.zeros(self.nvar)
         objective[t - 1] = 1.0 if sense == "min" else -1.0
         objective[2 * m - 2 :] = tau
@@ -353,7 +352,7 @@ class SubproblemTemplate:
         upper[m : 2 * m - 2] = g0 + g_rad
         return LinearProgram(
             objective=objective,
-            rows=mat,
+            rows=self._layout.rows(data),
             rhs=rhs,
             lower=lower,
             upper=upper,

@@ -1,7 +1,8 @@
 """Embedded linear-programming solver.
 
 Solves   min c @ z   subject to   rows @ z <= rhs   and   lower <= z <= upper,
-where rows is a scipy.sparse matrix and each bound may be infinite.
+where rows is given as CSC arrays (CscRows) or a scipy.sparse matrix and
+each bound may be infinite.
 
 The algorithm is a bounded-variable two-phase revised simplex.  Slack
 variables turn the rows into equalities; rows whose slack would start
@@ -11,17 +12,23 @@ refactorized every few dozen pivots and product-form eta updates cover the
 pivots in between.  Pricing is full Dantzig with a switch to Bland's rule
 after a run of degenerate pivots, which guarantees termination.
 
+A program's rows are CSC arrays.  Programs that share a sparsity pattern
+(the CCP's, one SubproblemTemplate each) share its indices and indptr and
+carry only their own values: CscLayout fixes once, for given COO
+coordinates, where coo_matrix(...).tocsc() puts each entry, running the
+routines tocsc() runs (coo_tocsr, csr_sort_indices) on the entry
+positions, so each program's values are one gather, with repeated entries
+added left to right as csr_sum_duplicates adds them.  No scipy.sparse
+object is built per program; rows handed in as a scipy.sparse matrix are
+converted once, by rows.tocsc(), when the LinearProgram is made.
+
 Each solve keeps its column matrix [rows | I | -I] as raw CSC arrays and
 calls on them the compiled SciPy kernels that the scipy.sparse wrappers
-call, with the same inputs, so every result has the wrappers' bits.  COO
-rows (the CCP's) are converted by the routines rows.tocsc() runs, under
-its conditions: coo_tocsr, then csr_has_canonical_format,
-csr_has_sorted_indices, csr_sort_indices and csr_sum_duplicates, so
-repeated entries are summed in the same order.  Rows in other formats go
-through rows.tocsc().  Products with the columns and with their transpose
-are csc_matvec and csr_matvec.  Each refactorization hands SuperLU's gstrf
-the basis columns gathered from the arrays, with splu's options; they are
-canonical already, so splu's sum_duplicates would change nothing.
+call, with the same inputs, so every result has the wrappers' bits.
+Products with the columns and with their transpose are csc_matvec and
+csr_matvec.  Each refactorization hands SuperLU's gstrf the basis columns
+gathered from the arrays, with splu's options; they are canonical
+already, so splu's sum_duplicates would change nothing.
 Entering columns are scattered into a dense vector (adding into zeros, so
 a stored -0.0 reads as +0.0).  A refactorization and recomputation of the
 basic values is skipped where it would only reproduce the state in hand:
@@ -29,7 +36,9 @@ after a warm basis that needed no repair, and after a phase 2 without a
 pivot.
 
 Solutions carry the basis so a caller solving a drifting sequence of
-structurally identical programs can warm-start.  A warm basis whose basic
+structurally identical programs can warm-start.  A warm basis from a
+program of another pattern is first checked for full structural rank, since
+SuperLU can crash on a structurally singular matrix.  A warm basis whose basic
 point violates the new bounds is repaired in place: the violated bounds are
 relaxed to the current values and a short phase-1 run with unit costs on
 the offending variables pushes them back inside, after which phase 2
@@ -44,6 +53,8 @@ import numpy as np
 from scipy import sparse
 
 __all__ = [
+    "CscLayout",
+    "CscRows",
     "LinearProgram",
     "LpSolution",
     "BasisState",
@@ -67,7 +78,6 @@ try:
         csr_has_sorted_indices,
         csr_matvec,
         csr_sort_indices,
-        csr_sum_duplicates,
     )
     from scipy.sparse.linalg._dsolve._superlu import gstrf
 
@@ -94,12 +104,77 @@ _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2
 
 
 @dataclass(frozen=True)
+class CscRows:
+    """An (r, n) matrix as canonical CSC arrays, as scipy's tocsc() gives
+    them; indices and indptr are intc and may be shared by many programs."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+class CscLayout:
+    """Where coo_matrix((data, (row, col)), shape).tocsc() puts each entry.
+
+    Built once for fixed coordinates; rows(data) then returns that matrix's
+    CSC arrays for any data, bit for bit, without building a matrix.
+    coo_tocsr is a stable counting sort by column, and csr_sort_indices
+    compares indices only, so running them on the entry positions gives the
+    permutation they apply to any data.  Entries sharing a slot end up next
+    to each other, and csr_sum_duplicates adds them left to right.
+    """
+
+    def __init__(self, row: np.ndarray, col: np.ndarray, shape: tuple[int, int]):
+        r, n = shape
+        nnz = row.size
+        indptr = np.empty(n + 1, dtype=np.intc)
+        indices = np.empty(nnz, dtype=np.intc)
+        pos = np.empty(nnz)
+        coo_tocsr(
+            n, r, nnz, col.astype(np.intc), row.astype(np.intc),
+            np.arange(nnz, dtype=float), indptr, indices, pos,
+        )
+        if not csr_has_canonical_format(n, indptr, indices):
+            if not csr_has_sorted_indices(n, indptr, indices):
+                csr_sort_indices(n, indptr, indices, pos)
+        pos = pos.astype(np.intp)
+        col_of = np.repeat(np.arange(n), np.diff(indptr))
+        first = np.ones(nnz, dtype=bool)  # entry opens a new slot
+        first[1:] = (indices[1:] != indices[:-1]) | (col_of[1:] != col_of[:-1])
+        slot = np.cumsum(first) - 1
+        rank = np.arange(nnz) - np.flatnonzero(first)[slot]
+        self.shape = (r, n)
+        self.indices = indices[first]
+        self.indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(col_of[first], minlength=n), out=self.indptr[1:])
+        self._first = pos[first]
+        # (slots, entries) for the second, third, ... entry of each slot
+        self._repeats = [
+            (slot[rank == k], pos[rank == k]) for k in range(1, rank.max(initial=0) + 1)
+        ]
+
+    def rows(self, data: np.ndarray) -> CscRows:
+        values = data[self._first]
+        for slots, entries in self._repeats:
+            values[slots] += data[entries]
+        return CscRows(values, self.indices, self.indptr, self.shape)
+
+
+@dataclass(frozen=True)
 class LinearProgram:
     """Inequality-form program: minimize objective @ z with rows @ z <= rhs
-    and lower <= z <= upper (bound entries may be +-inf)."""
+    and lower <= z <= upper (bound entries may be +-inf).
+
+    rows may be given as a scipy.sparse matrix; it is kept as CscRows of
+    rows.tocsc()."""
 
     objective: np.ndarray
-    rows: sparse.spmatrix   # (r, n)
+    rows: CscRows   # (r, n)
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -109,13 +184,22 @@ class LinearProgram:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.objective.size
         r = self.rhs.size
-        if not sparse.issparse(self.rows):
-            raise TypeError("rows must be a scipy.sparse matrix")
-        if self.rows.shape != (r, n):
-            raise ValueError(f"rows shape {self.rows.shape}, expected ({r}, {n})")
+        if sparse.issparse(self.rows):
+            a = self.rows.tocsc()
+            rows = CscRows(
+                a.data, a.indices.astype(np.intc), a.indptr.astype(np.intc), a.shape
+            )
+            object.__setattr__(self, "rows", rows)
+        elif not isinstance(self.rows, CscRows):
+            raise TypeError("rows must be CscRows or a scipy.sparse matrix")
+        rows = self.rows
+        if rows.shape != (r, n):
+            raise ValueError(f"rows shape {rows.shape}, expected ({r}, {n})")
+        if rows.indptr.size != n + 1 or not rows.indptr[-1] == rows.indices.size == rows.nnz:
+            raise ValueError("rows indptr, indices and data do not fit together")
         if not np.isfinite(self.objective).all() or not np.isfinite(self.rhs).all():
             raise ValueError("objective and rhs must be finite")
-        if not np.isfinite(self.rows.data).all():
+        if not np.isfinite(rows.data).all():
             raise ValueError("row coefficients must be finite")
         for name in ("lower", "upper"):
             arr = getattr(self, name)
@@ -137,12 +221,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class BasisState:
-    """Opaque warm-start token: basis columns and nonbasic bound sides."""
+    """Opaque warm-start token: basis columns and nonbasic bound sides, and
+    the (indices, indptr) arrays of the rows it was solved on."""
 
     basis: np.ndarray
     nb_state: np.ndarray
     num_vars: int
     num_rows: int
+    pattern: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -152,28 +238,6 @@ class LpSolution:
     objective_value: float | None
     iterations: int
     basis: BasisState | None
-
-
-def _csc_arrays(rows: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """data, indices, indptr of rows.tocsc(), entry for entry."""
-    if rows.format != "coo":
-        a = rows.tocsc()
-        return a.data, a.indices.astype(np.intc), a.indptr.astype(np.intc)
-    r, n = rows.shape
-    nnz = rows.nnz
-    indptr = np.empty(n + 1, dtype=np.intc)
-    indices = np.empty(nnz, dtype=np.intc)
-    data = np.empty_like(rows.data)
-    coo_tocsr(
-        n, r, nnz, rows.col.astype(np.intc, copy=False),
-        rows.row.astype(np.intc, copy=False), rows.data, indptr, indices, data,
-    )
-    if not rows.has_canonical_format and not csr_has_canonical_format(n, indptr, indices):
-        if not csr_has_sorted_indices(n, indptr, indices):
-            csr_sort_indices(n, indptr, indices, data)
-        csr_sum_duplicates(n, r, indptr, indices, data)
-        indices, data = indices[: indptr[-1]], data[: indptr[-1]]
-    return data, indices, indptr
 
 
 class _Simplex:
@@ -193,12 +257,12 @@ class _Simplex:
         # columns: structural | slack identity | artificial slots (-identity,
         # activated per negative-residual row during phase 1)
         self.ncols = n + 2 * r
-        data, indices, indptr = _csc_arrays(lp.rows)
-        nnz = indptr[-1]
+        rows = lp.rows
+        nnz = rows.indptr[-1]
         idx = np.arange(r, dtype=np.intc)
-        self.data = np.concatenate([data, np.ones(r), -np.ones(r)])
-        self.indices = np.concatenate([indices, idx, idx])
-        self.indptr = np.concatenate([indptr, nnz + 1 + np.arange(2 * r, dtype=np.intc)])
+        self.data = np.concatenate([rows.data, np.ones(r), -np.ones(r)])
+        self.indices = np.concatenate([rows.indices, idx, idx])
+        self.indptr = np.concatenate([rows.indptr, nnz + 1 + np.arange(2 * r, dtype=np.intc)])
         self.lower = np.concatenate([lp.lower, np.zeros(r), np.zeros(r)])
         self.upper = np.concatenate([lp.upper, np.full(r, np.inf), np.zeros(r)])
         self.cost = np.zeros(self.ncols)
@@ -268,7 +332,7 @@ class _Simplex:
         for rpos, d in self.etas:
             alpha = x[rpos] / d[rpos]
             if alpha != 0.0:
-                x = x - alpha * d
+                x -= alpha * d
             x[rpos] = alpha
         return x
 
@@ -331,11 +395,21 @@ class _Simplex:
         basis = np.asarray(state.basis, dtype=np.int64)
         if basis.size != r or (basis < 0).any() or (basis >= n + r).any():
             return False
-        if np.unique(basis).size != r:
+        self.in_basis[:] = False
+        self.in_basis[basis] = True
+        if np.count_nonzero(self.in_basis) != r:  # a column listed twice
             return False
         self.basis = basis.copy()
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
+        rows = self.lp.rows
+        if state.pattern[0] is not rows.indices or state.pattern[1] is not rows.indptr:
+            # a basis solved on this pattern was regular; any other is checked
+            # before gstrf sees it, as SuperLU can crash on a structurally
+            # singular matrix
+            from scipy.sparse.csgraph import structural_rank
+
+            data, indices, ptr = self._basis_arrays()
+            if structural_rank(sparse.csc_array((data, indices, ptr), shape=(r, r))) < r:
+                return False
         self.nb_state = state.nb_state.copy()
         # a variable can sit at a bound only if that bound is finite
         nb = ~self.in_basis
@@ -443,14 +517,9 @@ class _Simplex:
         return rc, y
 
     def _choose_entering(self, rc: np.ndarray, bland: bool) -> tuple[int, float] | None:
-        movable = ~self.in_basis & (self.upper - self.lower > _PIVOT_TOL)
         state = self.nb_state
-        can_up = movable & (rc < -_DUAL_TOL) & (
-            (state == _AT_LOWER) | (state == _FREE)
-        )
-        can_dn = movable & (rc > _DUAL_TOL) & (
-            (state == _AT_UPPER) | (state == _FREE)
-        )
+        can_up = self.movable & (rc < -_DUAL_TOL) & (state != _AT_UPPER)
+        can_dn = self.movable & (rc > _DUAL_TOL) & (state != _AT_LOWER)
         any_candidates = can_up | can_dn
         if not any_candidates.any():
             return None
@@ -473,19 +542,17 @@ class _Simplex:
         pass two picks the best-conditioned pivot among rows whose exact
         ratio fits under that allowance.
         """
-        lo_b = self.lower[self.basis]
-        up_b = self.upper[self.basis]
+        # a basic variable falls toward its lower bound where sigma * d > 0
+        # and rises toward its upper bound where it is < 0
         sd = sigma * d
+        step = np.abs(sd)
+        moves = step > _PIVOT_TOL
+        gap = np.where(sd > 0.0, self.x_basic - self.lo_b, self.up_b - self.x_basic)
+        np.maximum(gap, 0.0, out=gap)
         theta = np.full(self.r, np.inf)
         allow = np.full(self.r, np.inf)
-        dec = sd > _PIVOT_TOL
-        gap_d = np.maximum(self.x_basic[dec] - lo_b[dec], 0.0)
-        theta[dec] = gap_d / sd[dec]
-        allow[dec] = (gap_d + self.harris_delta) / sd[dec]
-        inc = sd < -_PIVOT_TOL
-        gap_i = np.maximum(up_b[inc] - self.x_basic[inc], 0.0)
-        theta[inc] = gap_i / (-sd[inc])
-        allow[inc] = (gap_i + self.harris_delta) / (-sd[inc])
+        np.divide(gap, step, out=theta, where=moves)
+        np.divide(gap + self.harris_delta, step, out=allow, where=moves)
         theta = np.where(np.isnan(theta), np.inf, theta)
         allow = np.where(np.isnan(allow), np.inf, allow)
 
@@ -500,7 +567,7 @@ class _Simplex:
             rows = np.flatnonzero(cand)
             r_leave = int(rows[np.argmin(self.basis[rows])])
         else:
-            r_leave = int(np.argmax(np.where(cand, np.abs(d), -1.0)))
+            r_leave = int(np.argmax(np.where(cand, step, -1.0)))  # sigma is +-1
         return float(theta[r_leave]), r_leave
 
     def _apply_pivot(
@@ -509,12 +576,12 @@ class _Simplex:
         if r_leave is None:
             # entering variable runs to its other bound
             if theta > 0.0:
-                self.x_basic = self.x_basic - sigma * theta * d
+                self.x_basic -= sigma * theta * d
             self.nb_state[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
             return
         leaving = int(self.basis[r_leave])
         enter_from = self._entry_value(q)
-        self.x_basic = self.x_basic - sigma * theta * d
+        self.x_basic -= sigma * theta * d
         self.x_basic[r_leave] = enter_from + sigma * theta
         leave_down = sigma * d[r_leave] > 0
         self.nb_state[leaving] = _AT_LOWER if leave_down else _AT_UPPER
@@ -523,6 +590,10 @@ class _Simplex:
         self.in_basis[leaving] = False
         self.in_basis[q] = True
         self.basis[r_leave] = q
+        self.movable[leaving] = self.wide[leaving]
+        self.movable[q] = False
+        self.lo_b[r_leave] = self.lower[q]
+        self.up_b[r_leave] = self.upper[q]
         self.etas.append((r_leave, d))
 
     def _entry_value(self, q: int) -> float:
@@ -535,6 +606,12 @@ class _Simplex:
 
     def run_phase(self, cost: np.ndarray) -> str:
         bland = False
+        # the bounds hold still within a phase, so the movable mask and the
+        # basic bounds follow the basis pivot by pivot (_apply_pivot)
+        self.wide = self.upper - self.lower > _PIVOT_TOL
+        self.movable = self.wide & ~self.in_basis
+        self.lo_b = self.lower[self.basis]
+        self.up_b = self.upper[self.basis]
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
@@ -639,10 +716,7 @@ class _Simplex:
         x = self._nonbasic_values()
         x[self.basis] = self.x_basic
         z = x[:n]
-        # audit on the caller's rows, not the CSC copy: the order in which
-        # rows @ z sums can tip a borderline audit, and with it which solves
-        # are retried in safe mode
-        row_resid = (self.lp.rows @ z) - self.lp.rhs
+        row_resid = self._cols_at(z, n) - self.lp.rhs
         scale = max(1.0, float(np.abs(self.lp.rhs).max(initial=0.0)))
         if (
             row_resid.max(initial=-np.inf) > _FEAS_TOL * scale
@@ -656,6 +730,7 @@ class _Simplex:
             nb_state=self.nb_state.copy(),
             num_vars=n,
             num_rows=r,
+            pattern=(self.lp.rows.indices, self.lp.rows.indptr),
         )
         return LpSolution(
             status="optimal",

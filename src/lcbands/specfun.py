@@ -78,7 +78,9 @@ _LOG_CUTOFF = 50.0
 
 
 def _masked(s: np.ndarray, out: np.ndarray, mask: np.ndarray, fn) -> None:
-    if mask.any():
+    if mask.all():
+        out[...] = fn(s)
+    elif mask.any():
         out[mask] = fn(s[mask])
 
 

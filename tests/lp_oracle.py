@@ -8,11 +8,18 @@ solver.  Only suitable for small, bounded instances.
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
+
+
+def rows_matrix(lp) -> sparse.csc_matrix:
+    """A LinearProgram's rows, which it keeps as CSC arrays, as a scipy matrix."""
+    rows = lp.rows
+    return sparse.csc_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
 
 
 def lp_to_halfspaces(lp) -> tuple[np.ndarray, np.ndarray]:
     """All constraints of a LinearProgram as rows of A z <= b, bounds included."""
-    a_parts = [lp.rows.toarray()]
+    a_parts = [rows_matrix(lp).toarray()]
     b_parts = [np.asarray(lp.rhs, float)]
     lo, up = lp.lower, lp.upper
     n = lp.num_vars

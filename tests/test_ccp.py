@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from cell_oracle import eval_L, eval_U, eval_V
+from lp_oracle import rows_matrix
 from lcbands import ccp
 from lcbands.ccp import (
     CcpConfig,
@@ -165,7 +166,7 @@ def test_tangent_rows_touch_at_expansion_point():
     )
     lp = SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
     z = np.concatenate([point.ell, point.g, np.zeros(system.pair_count)])
-    resid = np.asarray(lp.rows @ z).ravel() - lp.rhs
+    resid = rows_matrix(lp) @ z - lp.rhs
     n_conc, P = 2 * (6 - 2), system.pair_count
     for p in range(P):  # pair p covers the single cell p+1
         u = eval_U(grid, point.ell, point.g, p + 1)

@@ -5,6 +5,7 @@ instances constructed to be feasible and bounded; status classification is
 checked on hand-built programs.
 """
 
+import dataclasses
 import importlib.util
 import sys
 import types
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse._compressed import _cs_matrix
+from scipy.sparse._coo import _coo_base
 from scipy.sparse.linalg import splu
 
 from lcbands import ccp, lpsolve
@@ -21,11 +23,11 @@ from lcbands.lpsolve import (
     BasisState,
     LinearProgram,
     LpSolution,
-    _csc_arrays,
     _Simplex,
     solve_lp,
 )
-from lp_oracle import brute_force_min
+from lcbands.relax import FeasiblePoint
+from lp_oracle import brute_force_min, rows_matrix
 
 
 def simple_lp(objective, rows, rhs, nonneg=None, lower=None, upper=None):
@@ -55,7 +57,7 @@ def solver_multipliers(lp, sol):
     columns [rows | I | -I] with costs [objective | 0 | 0]."""
     r = lp.num_rows
     eye = np.eye(r)
-    cols = np.hstack([lp.rows.toarray(), eye, -eye])
+    cols = np.hstack([rows_matrix(lp).toarray(), eye, -eye])
     cost = np.concatenate([lp.objective, np.zeros(2 * r)])
     basis = sol.basis.basis
     return np.linalg.solve(cols[:, basis].T, cost[basis])
@@ -164,7 +166,7 @@ def test_duality_certificate():
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         y = solver_multipliers(lp, sol)
-        rows = lp.rows.toarray()
+        rows = rows_matrix(lp).toarray()
         # multipliers of <= rows in a minimization are nonpositive
         assert (y <= 1e-9).all()
         resid = rows @ sol.z - lp.rhs
@@ -222,7 +224,7 @@ def test_row_scaling_invariance():
     scale = 1000.0
     lp_scaled = LinearProgram(
         objective=lp.objective,
-        rows=lp.rows * scale,
+        rows=rows_matrix(lp) * scale,
         rhs=lp.rhs * scale,
         lower=lp.lower,
         upper=lp.upper,
@@ -284,6 +286,16 @@ def test_validation_errors():
         simple_lp([1.0], [[1.0]], [1.0], lower=np.zeros(2))
     with pytest.raises(ValueError):  # rejected at construction, not at solve
         simple_lp([1.0], [[1.0]], [1.0], lower=np.array([2.0]), upper=np.array([1.0]))
+    good = simple_lp([1.0, 1.0], [[1.0, 2.0]], [1.0]).rows
+    for indptr in (good.indptr[:-1], good.indptr - 1):  # too short, nnz off
+        with pytest.raises(ValueError):
+            LinearProgram(
+                objective=np.ones(2),
+                rows=lpsolve.CscRows(good.data, good.indices, indptr, good.shape),
+                rhs=np.ones(1),
+                lower=np.zeros(2),
+                upper=np.full(2, np.inf),
+            )
     with pytest.raises(TypeError):
         LinearProgram(
             objective=np.array([1.0]),
@@ -304,34 +316,42 @@ def test_validation_errors():
         )
 
 
-def _template_program(n):
+def _template(n):
+    """The CCP template of a Gaussian sample of size n, and its start point."""
     x = np.random.Generator(np.random.Philox(key=[0, 0])).normal(size=n)
     grid = select_design_points(x)
     system = build_interval_system(grid, 0.1)
-    point = ccp.initial_point(grid, system)
-    return ccp.SubproblemTemplate(grid, system).instantiate(point, 3, "min", 1.0)
+    return ccp.SubproblemTemplate(grid, system), ccp.initial_point(grid, system)
+
+
+def _template_program(n):
+    template, start = _template(n)
+    return template.instantiate(start, 3, "min", 1.0)
+
+
+# stores a -0.0
+_HAND_ROWS = sparse.coo_matrix(
+    ([1.0, -0.0, 2.0, -1.5], ([0, 0, 1, 1], [0, 1, 1, 2])), shape=(2, 3)
+)
 
 
 def _template_and_hand_programs():
     """CCP template programs at n=100 and at n=200, where depth-1 pairs make
     DOWN rows repeat anchor columns, then a hand-built program that stores a
-    -0.0, as CSR rows and, last, as COO rows."""
-    hand_rows = sparse.coo_matrix(
-        ([1.0, -0.0, 2.0, -1.5], ([0, 0, 1, 1], [0, 1, 1, 2])), shape=(2, 3)
-    )
+    -0.0, given as CSR rows and, last, as COO rows."""
     hand = [
         LinearProgram(
             objective=np.ones(3), rows=rows, rhs=np.ones(2),
             lower=np.zeros(3), upper=np.full(3, np.inf),
         )
-        for rows in (hand_rows.tocsr(), hand_rows)
+        for rows in (_HAND_ROWS.tocsr(), _HAND_ROWS)
     ]
     return _template_program(100), _template_program(200), *hand
 
 
 def _stacked(lp):
     eye = sparse.identity(lp.num_rows, format="csc")
-    return sparse.hstack([lp.rows.tocsc(), eye, -eye], format="csc")
+    return sparse.hstack([rows_matrix(lp), eye, -eye], format="csc")
 
 
 def _bases(simplex, rng):
@@ -373,16 +393,47 @@ def test_column_and_basis_match_scipy_slicing():
     assert not np.signbit(hand._column(1)).any()
 
 
-def test_coo_conversion_matches_tocsc():
-    # the direct COO -> CSC conversion sums the template's repeated anchor
-    # entries in the order rows.tocsc() does
-    for lp in _template_and_hand_programs():
-        got = _csc_arrays(lp.rows)
-        want = lp.rows.tocsc()
-        for arr, name in zip(got, ("data", "indices", "indptr")):
-            _assert_same_bits(arr, getattr(want, name))
-    rows = _template_program(200).rows
-    assert rows.nnz > rows.tocsc().nnz  # repeated entries were summed
+def test_coo_conversion_matches_tocsc(monkeypatch):
+    # every template program's CSC arrays are those coo_matrix(...).tocsc()
+    # gives for its entries, repeated anchor entries summed in the same
+    # order, at the start point and at random points; rows handed in as a
+    # scipy matrix are kept as their tocsc()
+    entries = []
+    layout_rows = lpsolve.CscLayout.rows
+
+    def keeping_rows(self, data):
+        entries.append(data.copy())
+        return layout_rows(self, data)
+
+    monkeypatch.setattr(lpsolve.CscLayout, "rows", keeping_rows)
+    rng = np.random.default_rng(50)
+    for n in (100, 200, 400):
+        template, start = _template(n)
+        points = [start] + [
+            FeasiblePoint(
+                ell=start.ell + rng.normal(scale=0.2, size=start.ell.size),
+                g=start.g + rng.normal(scale=0.2, size=start.g.size),
+            )
+            for _ in range(4)
+        ]
+        for point in points:
+            rows = template.instantiate(point, 3, "min", 1.0).rows
+            coo = sparse.coo_matrix(
+                (entries[-1], (template._rows, template._cols)), shape=rows.shape
+            )
+            want = coo.tocsc()
+            for name in ("data", "indices", "indptr"):
+                _assert_same_bits(getattr(rows, name), getattr(want, name))
+        # depth-1 pairs at n=200 and 400: repeated entries were summed
+        assert (coo.nnz > rows.nnz) == (n > 100)
+    for given in (_HAND_ROWS.tocsr(), _HAND_ROWS):
+        rows = LinearProgram(
+            objective=np.ones(3), rows=given, rhs=np.ones(2),
+            lower=np.zeros(3), upper=np.full(3, np.inf),
+        ).rows
+        want = _HAND_ROWS.tocsc()
+        for name in ("data", "indices", "indptr"):
+            _assert_same_bits(getattr(rows, name), getattr(want, name))
 
 
 def test_matvecs_match_scipy_products():
@@ -437,22 +488,62 @@ def test_lu_solves_match_splu():
 
 
 def test_solve_builds_no_compressed_matrix(monkeypatch):
-    # the solver runs SciPy's kernels on raw arrays: no csc/csr object is
-    # built per solve, cold or warm
-    template_lp = _template_program(200)
+    # programs carry CSC arrays and the solver runs SciPy's kernels on raw
+    # arrays: no coo, csc or csr object is built per program or per solve,
+    # cold or warm, nor anywhere in a whole CCP run
     built = []
-    init = _cs_matrix.__init__
+    for cls in (_coo_base, _cs_matrix):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(type(self).__name__)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    sparse.coo_matrix(np.eye(2)).tocsc()
+    assert built == ["coo_matrix", "csc_matrix"]  # the counters count
+    built.clear()
+    template, start = _template(200)
+    template_lp = template.instantiate(start, 3, "min", 1.0)
     cold = solve_lp(template_lp)
     warm = solve_lp(template_lp, warm=cold.basis)
     assert cold.status == warm.status == "optimal"
     assert cold.iterations > 0
+    _, diag = ccp.run_ccp_point(template, start, 7, "max", cold.basis)
+    assert diag.status == "converged" and diag.iterations > 1
     assert built == []
+
+
+def test_structurally_singular_warm_basis_starts_cold(monkeypatch):
+    # columns 0 and 1 meet row 0 only, so no basis holding both is regular;
+    # a warm basis from another pattern is checked before gstrf sees it
+    # (SuperLU can crash on a structurally singular matrix)
+    def program():
+        return simple_lp(
+            [-1.0, -1.0, -1.0], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0]
+        )
+
+    factored = []
+    gstrf = lpsolve.gstrf
+
+    def recording_gstrf(n, nnz, data, indices, indptr, **kwargs):
+        factored.append(np.unique(indices[:nnz]).size == n)  # every row met
+        return gstrf(n, nnz, data, indices, indptr, **kwargs)
+
+    monkeypatch.setattr(lpsolve, "gstrf", recording_gstrf)
+    lp = program()
+    cold = solve_lp(lp)
+    other = solve_lp(program()).basis  # same numbers, another pattern
+    assert other.pattern[0] is not lp.rows.indices
+    singular = dataclasses.replace(other, basis=np.array([0, 1]))
+    factored.clear()
+    sol = solve_lp(lp, warm=singular)
+    assert all(factored) and factored
+    assert sol.status == "optimal" and sol.iterations == cold.iterations
+    np.testing.assert_array_equal(sol.z, cold.z)
+    assert sol.objective_value == cold.objective_value == -2.0
+    # a regular basis from another pattern passes the check and warm-starts
+    warm = solve_lp(lp, warm=other)
+    assert warm.status == "optimal" and warm.iterations == 0
+    np.testing.assert_array_equal(warm.z, cold.z)
 
 
 def _gstrf_without_construct_func(n, nnz, data, indices, indptr, options=None, ilu=False):

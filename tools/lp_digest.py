@@ -1,7 +1,8 @@
 """Per-band digests of every linear program the CCP solves and of the band.
 
 For each band of a benchmark workload this prints one SHA-256 over every
-LP's inputs (objective, COO data/row/col, rhs, lower, upper) and outputs
+LP's inputs as the solver reads them (objective, the CSC data, indices and
+indptr of its rows, rhs, lower, upper) and outputs
 (status, z, iterations), in solve order, plus the LP call and pivot counts
 (sha256=).  A second SHA-256 (band_sha256=) covers the band itself: knots,
 lo_log, hi_log, L, R, xbar and every PointDiagnostics.  Two checkouts whose
@@ -32,6 +33,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -63,8 +65,11 @@ class LpHasher:
 
     def __call__(self, lp, warm=None):
         sol = self.solve(lp, warm)
-        rows = lp.rows.tocoo()
-        for arr in (lp.objective, rows.data, rows.row, rows.col, lp.rhs,
+        # scipy.sparse rows are hashed as the CSC matrix they convert to, so
+        # checkouts that hand the solver sparse matrices and ones that hand
+        # it CSC arrays digest alike
+        rows = lp.rows.tocsc() if sparse.issparse(lp.rows) else lp.rows
+        for arr in (lp.objective, rows.data, rows.indices, rows.indptr, lp.rhs,
                     lp.lower, lp.upper):
             self.sha.update(np.ascontiguousarray(arr).tobytes())
         self.sha.update(sol.status.encode())
