@@ -27,8 +27,9 @@ empirical histogram level is far wider than any plausible density value
 and acts only as a numerical floor.
 
 The (point, sense) runs of one pointwise_intervals call share nothing
-mutable, so they run on forked worker processes, one per usable CPU, with
-the same bits as a serial run; pointwise_intervals says when they do not.
+mutable, so they run on forked workers (a ProcessPoolExecutor), one per
+usable CPU, with the same bits as a serial run; pointwise_intervals says
+when they run serially.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -472,16 +474,16 @@ def pointwise_intervals(
     so every run's first program has the same constraints, and the basis
     from one cold solve seeds all the others.
     The (t, sense) runs share no mutable state, so they run on forked
-    worker processes, one per CPU the process may use (at most 8 and at
-    most one per run; taskset or os.sched_setaffinity limits them), and
-    come back in subset order with the same bits as a serial run.  They
-    run here, one after another, when fewer than two workers would run,
-    without fork or CPU affinity (non-Linux), in a daemonic process, in a
-    process running other threads (fork copies only the calling one), and
-    while a name the runs look up at call time (run_ccp_point,
-    chord_cap_shift, linearize_cells, check_feasible, solve_lp,
-    SubproblemTemplate.instantiate) is rebound, so that the wrapper sees
-    every call.
+    workers, one per CPU the process may use (at most 8 and at most one per
+    run; taskset or os.sched_setaffinity limits them), and come back in
+    subset order with the same bits as a serial run; a worker that dies
+    raises BrokenProcessPool.  They run here, one after another, when fewer
+    than two workers would run, without fork or CPU affinity (non-Linux), in
+    a daemonic process, in a process running other threads (fork copies
+    only the calling one), and while a name the runs look up at call time
+    (run_ccp_point, chord_cap_shift, linearize_cells, check_feasible,
+    solve_lp, SubproblemTemplate.instantiate) is rebound, so that the
+    wrapper sees every call.
     """
     raw = np.asarray(subset)
     if raw.ndim != 1:
@@ -499,8 +501,9 @@ def pointwise_intervals(
     start = initial_point(grid, system)
     shared = _warmup_basis(template, start, int(subset[0]))
 
+    run = partial(run_ccp_point, template, start, shared_basis=shared)
     jobs = [(int(t), sense) for t in subset for sense in ("min", "max")]
-    runs = _run_endpoints((template, start, shared), jobs)
+    runs = _run_endpoints(run, jobs)
     lo = np.empty(subset.size)
     hi = np.empty(subset.size)
     diags: list[PointDiagnostics] = []
@@ -517,16 +520,11 @@ def pointwise_intervals(
     )
 
 
-def _run_endpoint(args: tuple, job: tuple[int, str]) -> tuple[float, PointDiagnostics]:
-    template, start, shared = args
-    t, sense = job
-    return run_ccp_point(template, start, t, sense, shared)
+def _run_endpoints(run, jobs: list[tuple[int, str]]) -> list:
+    """run(t, sense) for each job, in order, on forked workers when they may.
 
-
-def _run_endpoints(args: tuple, jobs: list) -> list:
-    """_run_endpoint over jobs, in order, on forked workers when they may run.
-
-    A run that raises in a worker raises here, once the pool is ended.
+    Each job pickles run whole, so in the worker the shared basis still holds
+    the template's own pattern arrays (pickle's memo) and warm-starts there.
     """
     import multiprocessing
     import threading
@@ -541,33 +539,14 @@ def _run_endpoints(args: tuple, jobs: list) -> list:
     ):
         workers = min(len(os.sched_getaffinity(0)), 8, len(jobs))
     if workers < 2:
-        return [_run_endpoint(args, job) for job in jobs]
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_keep_worker_args, initargs=(args,)
-    )
+        return [run(t, sense) for t, sense in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        runs = pool.map(_run_worker_endpoint, jobs, chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
+        return list(pool.map(run, *zip(*jobs)))
     finally:
-        pool.join()
-    return runs
-
-
-# Set by _keep_worker_args in each pool worker only; the calling process
-# never sets it.
-_worker_args: tuple | None = None
-
-
-def _keep_worker_args(args: tuple) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _run_worker_endpoint(job: tuple[int, str]) -> tuple[float, PointDiagnostics]:
-    return _run_endpoint(_worker_args, job)
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_lookups() -> tuple:

@@ -1,8 +1,7 @@
 """Embedded linear-programming solver.
 
 Solves   min c @ z   subject to   rows @ z <= rhs   and   lower <= z <= upper,
-where rows is given as CSC arrays (CscRows) or a scipy.sparse matrix and
-each bound may be infinite.
+where rows is given as CSC arrays (CscRows) and each bound may be infinite.
 
 The algorithm is a bounded-variable two-phase revised simplex.  Slack
 variables turn the rows into equalities; rows whose slack would start
@@ -19,8 +18,7 @@ coordinates, where coo_matrix(...).tocsc() puts each entry, running the
 routines tocsc() runs (coo_tocsr, csr_sort_indices) on the entry
 positions, so each program's values are one gather, with repeated entries
 added left to right as csr_sum_duplicates adds them.  No scipy.sparse
-object is built per program; rows handed in as a scipy.sparse matrix are
-converted once, by rows.tocsc(), when the LinearProgram is made.
+object is built per program.
 
 Each solve keeps its column matrix [rows | I | -I] as raw CSC arrays and
 calls on them the compiled SciPy kernels that the scipy.sparse wrappers
@@ -35,14 +33,14 @@ basic values is skipped where it would only reproduce the state in hand:
 after a warm basis that needed no repair, and after a phase 2 without a
 pivot.
 
-Solutions carry the basis so a caller solving a drifting sequence of
-structurally identical programs can warm-start.  A warm basis from a
-program of another pattern is first checked for full structural rank, since
-SuperLU can crash on a structurally singular matrix.  A warm basis whose basic
-point violates the new bounds is repaired in place: the violated bounds are
-relaxed to the current values and a short phase-1 run with unit costs on
-the offending variables pushes them back inside, after which phase 2
-proceeds as usual.  Only an irreparable basis falls back to a cold start.
+Solutions carry the basis, which warm-starts only a program on the very
+pattern arrays it was solved on (where it was regular; SuperLU can crash on
+a structurally singular matrix), so a drifting sequence of programs on one
+pattern reuses it.  A warm basis whose basic point violates the new bounds
+is repaired in place: the violated bounds are relaxed to the current values
+and a short phase-1 run with unit costs on the offending variables pushes
+them back inside, after which phase 2 proceeds as usual.  Only an
+irreparable basis falls back to a cold start.
 """
 
 from __future__ import annotations
@@ -168,10 +166,7 @@ class CscLayout:
 @dataclass(frozen=True)
 class LinearProgram:
     """Inequality-form program: minimize objective @ z with rows @ z <= rhs
-    and lower <= z <= upper (bound entries may be +-inf).
-
-    rows may be given as a scipy.sparse matrix; it is kept as CscRows of
-    rows.tocsc()."""
+    and lower <= z <= upper (bound entries may be +-inf)."""
 
     objective: np.ndarray
     rows: CscRows   # (r, n)
@@ -184,15 +179,9 @@ class LinearProgram:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.objective.size
         r = self.rhs.size
-        if sparse.issparse(self.rows):
-            a = self.rows.tocsc()
-            rows = CscRows(
-                a.data, a.indices.astype(np.intc), a.indptr.astype(np.intc), a.shape
-            )
-            object.__setattr__(self, "rows", rows)
-        elif not isinstance(self.rows, CscRows):
-            raise TypeError("rows must be CscRows or a scipy.sparse matrix")
         rows = self.rows
+        if not isinstance(rows, CscRows):
+            raise TypeError(f"rows must be CscRows, got {type(rows).__name__}")
         if rows.shape != (r, n):
             raise ValueError(f"rows shape {rows.shape}, expected ({r}, {n})")
         if rows.indptr.size != n + 1 or not rows.indptr[-1] == rows.indices.size == rows.nnz:
@@ -221,14 +210,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class BasisState:
-    """Opaque warm-start token: basis columns and nonbasic bound sides, and
-    the (indices, indptr) arrays of the rows it was solved on."""
+    """Opaque warm-start token: basis columns, nonbasic bound sides, and the
+    pattern it was solved on (the rows' indices and indptr arrays, and shape)."""
 
     basis: np.ndarray
     nb_state: np.ndarray
-    num_vars: int
-    num_rows: int
-    pattern: tuple[np.ndarray, np.ndarray]
+    pattern: tuple[np.ndarray, np.ndarray, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -390,7 +377,10 @@ class _Simplex:
 
     def _load_warm(self, state: BasisState) -> bool:
         n, r = self.n, self.r
-        if state.num_vars != n or state.num_rows != r:
+        rows = self.lp.rows
+        # regular on its own pattern; on any other it could be singular
+        indices, indptr, shape = state.pattern
+        if indices is not rows.indices or indptr is not rows.indptr or shape != rows.shape:
             return False
         basis = np.asarray(state.basis, dtype=np.int64)
         if basis.size != r or (basis < 0).any() or (basis >= n + r).any():
@@ -400,16 +390,6 @@ class _Simplex:
         if np.count_nonzero(self.in_basis) != r:  # a column listed twice
             return False
         self.basis = basis.copy()
-        rows = self.lp.rows
-        if state.pattern[0] is not rows.indices or state.pattern[1] is not rows.indptr:
-            # a basis solved on this pattern was regular; any other is checked
-            # before gstrf sees it, as SuperLU can crash on a structurally
-            # singular matrix
-            from scipy.sparse.csgraph import structural_rank
-
-            data, indices, ptr = self._basis_arrays()
-            if structural_rank(sparse.csc_array((data, indices, ptr), shape=(r, r))) < r:
-                return False
         self.nb_state = state.nb_state.copy()
         # a variable can sit at a bound only if that bound is finite
         nb = ~self.in_basis
@@ -707,7 +687,7 @@ class _Simplex:
         return self._finish(status)
 
     def _finish(self, status: str) -> LpSolution:
-        n, r = self.n, self.r
+        n = self.n
         if status != "optimal":
             return LpSolution(
                 status=status, z=None, objective_value=None,
@@ -725,12 +705,11 @@ class _Simplex:
         ):
             self.audit_failed = True
             return self._finish("iteration_limit")
+        rows = self.lp.rows
         state = BasisState(
             basis=self.basis.copy(),
             nb_state=self.nb_state.copy(),
-            num_vars=n,
-            num_rows=r,
-            pattern=(self.lp.rows.indices, self.lp.rows.indptr),
+            pattern=(rows.indices, rows.indptr, rows.shape),
         )
         return LpSolution(
             status="optimal",
@@ -744,10 +723,10 @@ class _Simplex:
 def solve_lp(lp: LinearProgram, warm: BasisState | None = None) -> LpSolution:
     """Solve the program, optionally warm-starting from a previous basis.
 
-    The returned basis (when optimal) can seed the next solve of a
-    structurally identical program; an unusable warm basis falls back to a
-    cold two-phase start, and a final point that fails the feasibility audit
-    is solved again cold in safe mode.
+    The returned basis (when optimal) can seed the next solve on the same
+    pattern arrays; a basis from another pattern, or an unusable one, falls
+    back to a cold two-phase start, and a final point that fails the
+    feasibility audit is solved again cold in safe mode.
     """
     if lp.num_rows == 0:
         raise ValueError("program must have at least one row")

@@ -10,11 +10,19 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 
+from lcbands.lpsolve import CscRows
+
 
 def rows_matrix(lp) -> sparse.csc_matrix:
     """A LinearProgram's rows, which it keeps as CSC arrays, as a scipy matrix."""
     rows = lp.rows
     return sparse.csc_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+
+
+def csc_rows(matrix) -> CscRows:
+    """The inverse of rows_matrix: a scipy matrix as the CscRows of its tocsc()."""
+    a = matrix.tocsc()
+    return CscRows(a.data, a.indices.astype(np.intc), a.indptr.astype(np.intc), a.shape)
 
 
 def lp_to_halfspaces(lp) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,12 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -301,13 +305,20 @@ def test_fan_out_matches_in_process(monkeypatch):
         for sense in ("min", "max")
     ]
     here = []
-    run_endpoint = ccp._run_endpoint
+    feasible_point = ccp.FeasiblePoint
 
-    def counting_run_endpoint(args, job):
-        here.append(job)  # a worker appends to its own copy
-        return run_endpoint(args, job)
+    def counting_feasible_point(*args, **kwargs):
+        # every run that solves an LP builds its iterate with this name, which
+        # the rebinding check does not watch; initial_point, which builds the
+        # start here, does not count
+        if sys._getframe(1).f_code is run_ccp_point.__code__:
+            here.append(None)  # a worker appends to its own copy
+        return feasible_point(*args, **kwargs)
 
-    monkeypatch.setattr(ccp, "_run_endpoint", counting_run_endpoint)
+    monkeypatch.setattr(ccp, "FeasiblePoint", counting_feasible_point)
+    run_ccp_point(template, start, 2, "max", shared)
+    assert here  # the counter counts
+    here.clear()
     fanned = pointwise_intervals(grid, system, cfg, subset)
     assert here == []  # every run went to a worker
     assert fanned.lo.tolist() == [v for v, _ in direct[0::2]]
@@ -318,21 +329,64 @@ def test_fan_out_matches_in_process(monkeypatch):
     assert threading.active_count() == 1
 
 
+def _in_workers_only(monkeypatch, fail):
+    """Make every run call fail() in a worker, through a name the runs look
+    up that the rebinding check does not watch; the caller is unaffected."""
+    caller = os.getpid()
+    feasible_point = ccp.FeasiblePoint
+
+    def hooked(*args, **kwargs):
+        if os.getpid() != caller:
+            fail()
+        return feasible_point(*args, **kwargs)
+
+    monkeypatch.setattr(ccp, "FeasiblePoint", hooked)
+
+
 @fans_out
 def test_fan_out_raise_reaches_caller_and_ends_pool(monkeypatch):
-    caller = os.getpid()
-    run_endpoint = ccp._run_endpoint
+    def fail():
+        raise RuntimeError(f"run in {os.getpid()} failed")
 
-    def failing_in_worker(args, job):
-        if os.getpid() == caller:
-            return run_endpoint(args, job)
-        raise RuntimeError(f"run {job} failed")
-
-    monkeypatch.setattr(ccp, "_run_endpoint", failing_in_worker)
+    _in_workers_only(monkeypatch, fail)
     with pytest.raises(RuntimeError, match="failed"):
         intervals_n100()
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
+
+
+@fans_out
+def test_dead_worker_raises_and_does_not_hang(monkeypatch):
+    # a worker that dies mid-run (a crash inside SuperLU, an OOM kill) must
+    # end the call with BrokenProcessPool, not leave it waiting forever for
+    # the lost result; the alarm turns such a hang into a failure
+    def hung(signum, frame):
+        raise TimeoutError("pointwise_intervals still waits on a dead worker")
+
+    _in_workers_only(monkeypatch, lambda: os._exit(1))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            intervals_n100()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+def test_import_loads_no_process_pool():
+    # the fan-out imports its pool modules when it first runs, not at import
+    code = (
+        "import sys, lcbands; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ccp.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(

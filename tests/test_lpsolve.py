@@ -27,7 +27,7 @@ from lcbands.lpsolve import (
     solve_lp,
 )
 from lcbands.relax import FeasiblePoint
-from lp_oracle import brute_force_min, rows_matrix
+from lp_oracle import brute_force_min, csc_rows, rows_matrix
 
 
 def simple_lp(objective, rows, rhs, nonneg=None, lower=None, upper=None):
@@ -45,7 +45,7 @@ def simple_lp(objective, rows, rhs, nonneg=None, lower=None, upper=None):
         upper = np.full(n, np.inf)
     return LinearProgram(
         objective=objective,
-        rows=sparse.csc_matrix(np.asarray(rows, dtype=float).reshape(-1, n)),
+        rows=csc_rows(sparse.csc_matrix(np.asarray(rows, dtype=float).reshape(-1, n))),
         rhs=np.asarray(rhs, dtype=float),
         lower=lower,
         upper=upper,
@@ -224,7 +224,7 @@ def test_row_scaling_invariance():
     scale = 1000.0
     lp_scaled = LinearProgram(
         objective=lp.objective,
-        rows=rows_matrix(lp) * scale,
+        rows=csc_rows(rows_matrix(lp) * scale),
         rhs=lp.rhs * scale,
         lower=lp.lower,
         upper=lp.upper,
@@ -251,11 +251,21 @@ def test_degenerate_overdetermined_vertex_terminates():
     assert abs(sol.objective_value + 1.0) <= 1e-8
 
 
-def test_sparse_rows_accepted():
-    rows = sparse.csr_matrix(np.array([[1.0, 1.0], [-1.0, 0.0]]))
+def test_sparse_rows_refused():
+    # rows are CscRows only; a scipy matrix is converted by the caller
+    dense = np.array([[1.0, 1.0], [-1.0, 0.0]])
+    for rows in (sparse.csr_matrix(dense), sparse.coo_matrix(dense), sparse.csc_array(dense)):
+        with pytest.raises(TypeError, match="CscRows"):
+            LinearProgram(
+                objective=np.array([-1.0, -2.0]),
+                rows=rows,
+                rhs=np.array([1.0, 0.0]),
+                lower=np.zeros(2),
+                upper=np.full(2, np.inf),
+            )
     lp = LinearProgram(
         objective=np.array([-1.0, -2.0]),
-        rows=rows,
+        rows=csc_rows(sparse.csr_matrix(dense)),
         rhs=np.array([1.0, 0.0]),
         lower=np.zeros(2),
         upper=np.full(2, np.inf),
@@ -308,7 +318,7 @@ def test_validation_errors():
         solve_lp(
             LinearProgram(
                 objective=np.array([1.0]),
-                rows=sparse.csc_matrix((0, 1)),
+                rows=csc_rows(sparse.csc_matrix((0, 1))),
                 rhs=np.empty(0),
                 lower=np.zeros(1),
                 upper=np.full(1, np.inf),
@@ -338,10 +348,10 @@ _HAND_ROWS = sparse.coo_matrix(
 def _template_and_hand_programs():
     """CCP template programs at n=100 and at n=200, where depth-1 pairs make
     DOWN rows repeat anchor columns, then a hand-built program that stores a
-    -0.0, given as CSR rows and, last, as COO rows."""
+    -0.0, converted from CSR rows and, last, from COO rows."""
     hand = [
         LinearProgram(
-            objective=np.ones(3), rows=rows, rhs=np.ones(2),
+            objective=np.ones(3), rows=csc_rows(rows), rhs=np.ones(2),
             lower=np.zeros(3), upper=np.full(3, np.inf),
         )
         for rows in (_HAND_ROWS.tocsr(), _HAND_ROWS)
@@ -396,8 +406,7 @@ def test_column_and_basis_match_scipy_slicing():
 def test_coo_conversion_matches_tocsc(monkeypatch):
     # every template program's CSC arrays are those coo_matrix(...).tocsc()
     # gives for its entries, repeated anchor entries summed in the same
-    # order, at the start point and at random points; rows handed in as a
-    # scipy matrix are kept as their tocsc()
+    # order, at the start point and at random points
     entries = []
     layout_rows = lpsolve.CscLayout.rows
 
@@ -426,14 +435,6 @@ def test_coo_conversion_matches_tocsc(monkeypatch):
                 _assert_same_bits(getattr(rows, name), getattr(want, name))
         # depth-1 pairs at n=200 and 400: repeated entries were summed
         assert (coo.nnz > rows.nnz) == (n > 100)
-    for given in (_HAND_ROWS.tocsr(), _HAND_ROWS):
-        rows = LinearProgram(
-            objective=np.ones(3), rows=given, rhs=np.ones(2),
-            lower=np.zeros(3), upper=np.full(3, np.inf),
-        ).rows
-        want = _HAND_ROWS.tocsc()
-        for name in ("data", "indices", "indptr"):
-            _assert_same_bits(getattr(rows, name), getattr(want, name))
 
 
 def test_matvecs_match_scipy_products():
@@ -514,7 +515,7 @@ def test_solve_builds_no_compressed_matrix(monkeypatch):
 
 def test_structurally_singular_warm_basis_starts_cold(monkeypatch):
     # columns 0 and 1 meet row 0 only, so no basis holding both is regular;
-    # a warm basis from another pattern is checked before gstrf sees it
+    # a warm basis from another pattern starts cold, so gstrf never sees it
     # (SuperLU can crash on a structurally singular matrix)
     def program():
         return simple_lp(
@@ -540,8 +541,12 @@ def test_structurally_singular_warm_basis_starts_cold(monkeypatch):
     assert sol.status == "optimal" and sol.iterations == cold.iterations
     np.testing.assert_array_equal(sol.z, cold.z)
     assert sol.objective_value == cold.objective_value == -2.0
-    # a regular basis from another pattern passes the check and warm-starts
-    warm = solve_lp(lp, warm=other)
+    # a regular basis from another pattern starts cold too, to the same z
+    again = solve_lp(lp, warm=other)
+    assert again.status == "optimal" and again.iterations == cold.iterations
+    np.testing.assert_array_equal(again.z, cold.z)
+    # on the pattern it was solved on, a basis warm-starts with no pivot
+    warm = solve_lp(lp, warm=cold.basis)
     assert warm.status == "optimal" and warm.iterations == 0
     np.testing.assert_array_equal(warm.z, cold.z)
 

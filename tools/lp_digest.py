@@ -33,7 +33,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -65,10 +64,7 @@ class LpHasher:
 
     def __call__(self, lp, warm=None):
         sol = self.solve(lp, warm)
-        # scipy.sparse rows are hashed as the CSC matrix they convert to, so
-        # checkouts that hand the solver sparse matrices and ones that hand
-        # it CSC arrays digest alike
-        rows = lp.rows.tocsc() if sparse.issparse(lp.rows) else lp.rows
+        rows = lp.rows
         for arr in (lp.objective, rows.data, rows.indices, rows.indptr, lp.rhs,
                     lp.lower, lp.upper):
             self.sha.update(np.ascontiguousarray(arr).tobytes())
